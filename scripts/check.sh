@@ -72,6 +72,17 @@
 #                               # vocab races are exactly what TSan is
 #                               # for; the soak's oracle byte-compare
 #                               # catches everything else)
+#   scripts/check.sh --perf-smoke
+#                               # the benchmark's smoke test
+#                               # (python3 perfbench/smoke_test.py):
+#                               # every perfbench workload for a few ops,
+#                               # untraced and traced, through its gates —
+#                               # byte-identical reports, precision =
+#                               # recall = 1 against the planted truth,
+#                               # and no Chase::Extend fallback. It
+#                               # compiles a second, Release tree
+#                               # (.bench_build/, about 80 s the first
+#                               # time), so it stays out of tier-1 ctest
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -86,6 +97,7 @@ run_serve=0
 run_scenarios=0
 run_columnar=0
 run_durability=0
+run_perf_smoke=0
 scenario_seed=""
 expect_seed=0
 for arg in "$@"; do
@@ -105,6 +117,7 @@ for arg in "$@"; do
     --scenarios) run_scenarios=1; run_plain=0; run_san=0 ;;
     --columnar) run_columnar=1; run_plain=0; run_san=0 ;;
     --durability) run_durability=1; run_plain=0; run_san=0 ;;
+    --perf-smoke) run_perf_smoke=1; run_plain=0; run_san=0 ;;
     --seed) expect_seed=1 ;;
     --seed=*) scenario_seed="${arg#--seed=}" ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
@@ -267,6 +280,11 @@ if [[ $run_serve -eq 1 ]]; then
   TSAN_OPTIONS=halt_on_error=1 \
     MDQA_SOAK_SECONDS="$soak_secs" ./build-tsan/tests/serve_soak_test
   ./build-tsan/tools/mdqa_serve --smoke --threads=2
+fi
+
+if [[ $run_perf_smoke -eq 1 ]]; then
+  echo "== benchmark smoke test (perfbench/smoke_test.py) =="
+  python3 perfbench/smoke_test.py
 fi
 
 if [[ $run_analyze -eq 1 ]]; then

@@ -1,7 +1,9 @@
 #include "datalog/chase.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
+#include <set>
 #include <unordered_set>
 
 #include "datalog/analysis.h"
@@ -11,36 +13,126 @@ namespace mdqa::datalog {
 
 namespace {
 
-// A pending TGD trigger: the body homomorphism restricted to the frontier
-// (head) variables, canonically ordered so triggers dedup per round.
-struct Trigger {
-  std::vector<Term> frontier_bindings;  // parallel to rule's frontier vars
+// The triggers of one rule pass: each body match projected onto the
+// rule's frontier (the body variables that also occur in the head), as
+// rows of `width` terms in one contiguous buffer. Rows are appended in
+// discovery order; SortUnique puts them in canonical order. It also runs
+// whenever the row count reaches twice what the last call kept (and at
+// least kMinCompact), so a projecting rule (`Reach(X) :- Edge(X, Y).`,
+// one match per edge but one trigger per node) holds memory proportional
+// to its distinct triggers.
+class TriggerRows {
+ public:
+  explicit TriggerRows(size_t width) : width_(width) {}
 
-  friend bool operator==(const Trigger& a, const Trigger& b) {
-    return a.frontier_bindings == b.frontier_bindings;
-  }
-};
+  size_t size() const { return rows_; }
+  const Term* Row(size_t i) const { return terms_.data() + i * width_; }
 
-struct TriggerHash {
-  size_t operator()(const Trigger& t) const {
-    size_t seed = t.frontier_bindings.size();
-    for (Term x : t.frontier_bindings) HashCombine(&seed, TermHash{}(x));
-    return seed;
-  }
-};
-
-// An on_match callback that records the frontier projection of each body
-// homomorphism into `*set`.
-std::function<bool(const Subst&)> MakeCollector(
-    const std::vector<uint32_t>& frontier,
-    std::unordered_set<Trigger, TriggerHash>* set) {
-  return [&frontier, set](const Subst& subst) {
-    Trigger t;
-    t.frontier_bindings.reserve(frontier.size());
+  void Append(const Subst& subst, const std::vector<uint32_t>& frontier) {
     for (uint32_t v : frontier) {
-      t.frontier_bindings.push_back(Resolve(subst, Term::Variable(v)));
+      terms_.push_back(Resolve(subst, Term::Variable(v)));
     }
-    set->insert(std::move(t));
+    if (++rows_ >= compact_at_) {
+      SortUnique();
+      compact_at_ = std::max(kMinCompact, 2 * rows_);
+    }
+  }
+
+  void Append(const TriggerRows& other) {
+    terms_.insert(terms_.end(), other.terms_.begin(), other.terms_.end());
+    rows_ += other.rows_;
+  }
+
+  // Sorts the rows lexicographically (Term::operator< is total) and drops
+  // duplicates; width-0 rows are all equal, so at most one survives.
+  void SortUnique() {
+    std::vector<uint32_t> order(rows_);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
+      return std::lexicographical_compare(Row(a), Row(a) + width_, Row(b),
+                                          Row(b) + width_);
+    });
+    std::vector<Term> sorted;
+    sorted.reserve(terms_.size());
+    size_t kept = 0;
+    for (size_t k = 0; k < order.size(); ++k) {
+      const Term* row = Row(order[k]);
+      if (k > 0 && std::equal(row, row + width_, Row(order[k - 1]))) continue;
+      sorted.insert(sorted.end(), row, row + width_);
+      ++kept;
+    }
+    terms_.swap(sorted);
+    rows_ = kept;
+  }
+
+ private:
+  static constexpr size_t kMinCompact = size_t{1} << 16;
+
+  size_t width_;
+  size_t rows_ = 0;
+  size_t compact_at_ = kMinCompact;
+  std::vector<Term> terms_;
+};
+
+// A TGD compiled once per chase call for the apply loop. A trigger's
+// binding row holds its frontier bindings, then one fresh null per
+// existential variable; `head` is the rule's head terms flattened over
+// its atoms, each variable renumbered to its binding-row index, so
+// instantiating the head is one pass over `head`.
+struct RulePlan {
+  explicit RulePlan(const Rule* r) : rule(r) {}
+
+  // Idempotent: Extend compiles only the rules its delta reaches.
+  void Compile() {
+    if (compiled) return;
+    compiled = true;
+    frontier = rule->FrontierVariables();
+    existential = rule->ExistentialVariables();
+    for (const Atom& a : rule->head) {
+      for (Term t : a.terms) {
+        if (t.IsVariable()) {
+          auto f = std::find(frontier.begin(), frontier.end(), t.id());
+          auto e = std::find(existential.begin(), existential.end(), t.id());
+          t = Term::Variable(static_cast<uint32_t>(
+              f != frontier.end()
+                  ? f - frontier.begin()
+                  : frontier.size() + (e - existential.begin())));
+        }
+        head.push_back(t);
+      }
+    }
+  }
+
+  void Instantiate(const std::vector<Term>& binding,
+                   std::vector<Term>* out) const {
+    for (size_t i = 0; i < head.size(); ++i) {
+      (*out)[i] = head[i].IsVariable() ? binding[head[i].id()] : head[i];
+    }
+  }
+
+  // The trigger's frontier bindings as an evaluator seed.
+  Subst Seed(const std::vector<Term>& binding) const {
+    Subst s;
+    for (size_t i = 0; i < frontier.size(); ++i) s[frontier[i]] = binding[i];
+    return s;
+  }
+
+  const Rule* rule;
+  bool compiled = false;
+  std::vector<uint32_t> frontier;
+  std::vector<uint32_t> existential;
+  std::vector<Term> head;
+  // Semi-oblivious mode: frontier bindings that already fired, across
+  // rounds (full passes would otherwise refire them forever).
+  std::set<std::vector<Term>> fired;
+};
+
+// An on_match callback that appends the frontier projection of each body
+// homomorphism to `*rows`.
+std::function<bool(const Subst&)> MakeCollector(
+    const std::vector<uint32_t>& frontier, TriggerRows* rows) {
+  return [&frontier, rows](const Subst& subst) {
+    rows->Append(subst, frontier);
     return true;
   };
 }
@@ -56,19 +148,19 @@ std::function<bool(const Subst&)> MakeCollector(
 // shards run on `pool`. Each shard grounds the pivot atom against its
 // rows (MatchAtom) and enumerates the *full* body under the same windows
 // with that ground seed, so every homomorphism it finds has the pivot
-// bound to exactly that row; the union of the shard trigger sets is
-// therefore the serial trigger set. The instance is read-only throughout
-// and the budget's counters are atomic, so shards share both safely. A
-// counter trip can land on any shard — the first non-OK status in shard
-// order is returned, and the merged set is then a subset of the serial
-// one (sound: a truncated chase is an under-approximation either way).
+// bound to exactly that row; the shard buffers, concatenated, therefore
+// hold the serial trigger set once sorted and de-duplicated. The instance
+// is read-only throughout and the budget's counters are atomic, so shards
+// share both safely. A counter trip can land on any shard — the first
+// non-OK status in shard order is returned, and the merged rows are then
+// a subset of the serial ones (sound: a truncated chase is an
+// under-approximation either way).
 Status CollectPassTriggers(const Instance& instance, const Rule& rule,
                            const std::vector<uint32_t>& frontier,
                            const std::vector<AtomLevelWindow>& windows,
                            size_t pivot, const CqEvaluator& eval,
                            ThreadPool* pool, uint64_t min_parallel_seeds,
-                           ExecutionBudget* budget,
-                           std::unordered_set<Trigger, TriggerHash>* out) {
+                           ExecutionBudget* budget, TriggerRows* out) {
   auto serial = [&]() {
     return eval.Enumerate(rule.body, rule.negated, rule.comparisons, Subst{},
                           windows, MakeCollector(frontier, out));
@@ -96,7 +188,7 @@ Status CollectPassTriggers(const Instance& instance, const Rule& rule,
 
   // A few shards per worker so uneven seed costs still balance.
   const size_t shards = std::min(seeds.size(), pool->size() * 4);
-  std::vector<std::unordered_set<Trigger, TriggerHash>> local(shards);
+  std::vector<TriggerRows> local(shards, TriggerRows(frontier.size()));
   std::vector<Status> shard_status(shards, Status::Ok());
   pool->ParallelFor(shards, [&](size_t s) {
     CqEvaluator shard_eval(instance, nullptr, budget);
@@ -121,7 +213,7 @@ Status CollectPassTriggers(const Instance& instance, const Rule& rule,
   for (size_t s = 0; s < shards; ++s) {
     MDQA_RETURN_IF_ERROR(shard_status[s]);
   }
-  for (auto& l : local) out->merge(l);
+  for (const TriggerRows& l : local) out->Append(l);
   return Status::Ok();
 }
 
@@ -255,6 +347,309 @@ void CaptureFrontier(Instance* instance, ChaseStats* stats) {
   instance->Freeze();
 }
 
+// True when every row of the instantiated head `head` is already a fact.
+bool HeadPresent(const Instance& instance, const Rule& rule,
+                 const std::vector<Term>& head) {
+  const Term* row = head.data();
+  for (const Atom& a : rule.head) {
+    const FactTable* table = instance.Table(a.predicate);
+    if (table == nullptr || !table->Contains(row)) return false;
+    row += a.arity();
+  }
+  return true;
+}
+
+// The state one Run or Extend call threads through its rounds: the
+// options and budget, the first graceful interruption, and the stats it
+// fills. `Round` is the collect → sort → apply step both entry points
+// share.
+class ChaseLoop {
+ public:
+  ChaseLoop(const ChaseOptions& options, Instance* instance,
+            ChaseStats* stats)
+      : options_(options),
+        budget_(options.budget),
+        instance_(instance),
+        stats_(stats) {}
+
+  // True once a truncation was recorded: stop gracefully, the instance
+  // is a sound partial result. Hard faults return immediately instead.
+  bool interrupted() const { return !interrupt_.ok(); }
+
+  // Records the first interruption; later ones are ignored.
+  void Interrupt(Status s, ChaseStop reason) {
+    if (interrupt_.ok()) {
+      interrupt_ = std::move(s);
+      stats_->stop = reason;
+    }
+  }
+
+  // Routes a budget trip into the interruption; returns non-OK only for
+  // hard (non-truncation) faults, e.g. an injected kInternal.
+  Status Absorb(Status s) {
+    if (s.ok() || interrupted()) return Status::Ok();
+    if (!ExecutionBudget::IsTruncation(s)) return s;
+    const ChaseStop reason = s.code() == StatusCode::kCancelled
+                                 ? ChaseStop::kCancelled
+                                 : ChaseStop::kBudget;
+    Interrupt(std::move(s), reason);
+    return Status::Ok();
+  }
+
+  Status StartRound() {
+    if (budget_ == nullptr) return Status::Ok();
+    Status bs = budget_->CheckNow("chase:round");
+    if (bs.ok()) bs = budget_->ChargeRounds(1);
+    return Absorb(std::move(bs));
+  }
+
+  // Estimating memory walks the whole instance, so only pay for it when
+  // a limit was actually configured.
+  Status NoteMemory() {
+    if (budget_ == nullptr || !budget_->has_memory_limit()) {
+      return Status::Ok();
+    }
+    return Absorb(budget_->NoteMemory(instance_->MemoryEstimateBytes()));
+  }
+
+  // Applies the EGDs to fixpoint; `*merges` stays 0 unless that completes.
+  Status RunEgds(const Program& program, uint64_t* merges) {
+    *merges = 0;
+    Result<uint64_t> done = Chase::ApplyEgds(program, instance_, budget_);
+    if (!done.ok()) return Absorb(done.status());
+    *merges = *done;
+    stats_->egd_merges += *done;
+    return Status::Ok();
+  }
+
+  // One round's TGD passes at `level`: for each rule in order, collect
+  // its triggers, sort them, and apply them. With `gained_prev` set (the
+  // predicates that gained a fact at level - 1), semi-naive passes skip
+  // rules and pivots it rules out; `gained`, when set, collects the
+  // predicates that gain a fact.
+  Status Round(const std::vector<RulePlan*>& plans, uint32_t level,
+               bool full_pass,
+               const std::unordered_set<uint32_t>* gained_prev,
+               std::unordered_set<uint32_t>* gained);
+
+  // Fills the completion fields of the stats. A run that reached its
+  // fixpoint holds the full chase result, so it records the resume state
+  // Extend needs.
+  void Finish(uint64_t rounds, bool round_limit,
+              const std::string& limit_message) {
+    stats_->rounds = rounds;
+    stats_->reached_fixpoint = !interrupted() && !round_limit;
+    if (interrupted()) {
+      stats_->completeness = Completeness::kTruncated;
+      stats_->interruption = interrupt_;
+    } else if (round_limit) {
+      stats_->completeness = Completeness::kTruncated;
+      stats_->stop = ChaseStop::kRoundLimit;
+      stats_->interruption = Status::ResourceExhausted(limit_message);
+    } else {
+      CaptureFrontier(instance_, stats_);
+    }
+  }
+
+ private:
+  Status Apply(RulePlan* plan, const TriggerRows& triggers, uint32_t level,
+               std::unordered_set<uint32_t>* gained);
+
+  const ChaseOptions& options_;
+  ExecutionBudget* budget_;
+  Instance* instance_;
+  ChaseStats* stats_;
+  Status interrupt_ = Status::Ok();
+};
+
+Status ChaseLoop::Round(const std::vector<RulePlan*>& plans, uint32_t level,
+                        bool full_pass,
+                        const std::unordered_set<uint32_t>* gained_prev,
+                        std::unordered_set<uint32_t>* gained) {
+  auto touched = [gained_prev](const Atom& a) {
+    return gained_prev == nullptr || gained_prev->count(a.predicate) > 0;
+  };
+  for (RulePlan* plan : plans) {
+    if (interrupted()) break;
+    const Rule& rule = *plan->rule;
+    // Delta-driven skip: no body predicate gained a fact at the previous
+    // level, so every pivot window below is empty.
+    if (!full_pass && std::none_of(rule.body.begin(), rule.body.end(),
+                                   touched)) {
+      continue;
+    }
+    plan->Compile();
+    CqEvaluator eval(*instance_, nullptr, budget_);
+
+    // Collect candidate triggers first (enumeration must not observe
+    // concurrent mutation). With a pool, each pass's matching is sharded
+    // across workers (the instance is immutable here); without one,
+    // CollectPassTriggers is exactly the legacy single-threaded Enumerate.
+    TriggerRows triggers(plan->frontier.size());
+    if (full_pass) {
+      // Partition on the body atom with the largest table: most seeds,
+      // so the cheapest residual join per seed.
+      size_t pivot = 0;
+      if (options_.pool != nullptr) {
+        uint32_t best = 0;
+        for (size_t j = 0; j < rule.body.size(); ++j) {
+          const FactTable* t = instance_->Table(rule.body[j].predicate);
+          const uint32_t sz = t != nullptr ? t->size() : 0;
+          if (sz > best) {
+            best = sz;
+            pivot = j;
+          }
+        }
+      }
+      MDQA_RETURN_IF_ERROR(Absorb(CollectPassTriggers(
+          *instance_, rule, plan->frontier, {}, pivot, eval, options_.pool,
+          options_.min_parallel_seeds, budget_, &triggers)));
+    } else {
+      // Semi-naive: one pass per delta atom d — atom d restricted to the
+      // previous round's facts, atoms before d to strictly older ones.
+      // The delta atom is the natural partition pivot: its window is
+      // exactly the last round's new facts.
+      const uint32_t prev = level - 1;
+      for (size_t d = 0; d < rule.body.size() && !interrupted(); ++d) {
+        if (!touched(rule.body[d])) continue;  // its window is empty
+        std::vector<AtomLevelWindow> windows(rule.body.size());
+        for (size_t j = 0; j < rule.body.size(); ++j) {
+          if (j < d) {
+            windows[j].max_level = prev > 0 ? prev - 1 : 0;
+            if (prev == 0) windows[j].min_level = 1;  // empty window
+          } else if (j == d) {
+            windows[j].min_level = prev;
+            windows[j].max_level = prev;
+          }  // j > d: unrestricted (everything known so far)
+        }
+        MDQA_RETURN_IF_ERROR(Absorb(CollectPassTriggers(
+            *instance_, rule, plan->frontier, windows, d, eval,
+            options_.pool, options_.min_parallel_seeds, budget_,
+            &triggers)));
+      }
+    }
+    if (interrupted()) break;
+
+    // Canonical apply order: sorted on frontier bindings. This makes the
+    // firing order — and with it null numbering, restricted-chase skips,
+    // and the final instance — a function of the trigger *set* alone,
+    // independent of enumeration order and thread count: the parallel
+    // chase is bit-identical to the serial one.
+    triggers.SortUnique();
+    MDQA_RETURN_IF_ERROR(Apply(plan, triggers, level, gained));
+  }
+  return Status::Ok();
+}
+
+Status ChaseLoop::Apply(RulePlan* plan, const TriggerRows& triggers,
+                        uint32_t level,
+                        std::unordered_set<uint32_t>* gained) {
+  const Rule& rule = *plan->rule;
+  const size_t width = plan->frontier.size();
+  // Restricted chase: a trigger fires only when its head is not already
+  // satisfied (facts fired earlier this round count, so equivalent
+  // triggers cost one null tuple, not many). An existential-free head is
+  // satisfied iff its instantiated rows are facts — one dedup-index
+  // probe per head atom through the read-only Table, so a satisfied
+  // trigger never bumps the generation or clones a table a snapshot
+  // shares. Existential heads take the seeded evaluator instead.
+  const bool probe = options_.restricted && plan->existential.empty();
+  std::vector<Term> binding(width + plan->existential.size());
+  std::vector<Term> head(plan->head.size());
+  // Only this loop adds facts while it runs, so a running count serves
+  // the max_facts check.
+  size_t total_facts = instance_->TotalFacts();
+  // The budget is polled once per 16 triggers through a local tick (the
+  // first trigger always polls, so armed faults and expired deadlines
+  // still surface deterministically); ChargeFacts below stays per-fact
+  // so fact caps trip exactly.
+  uint32_t tick = 0;
+  for (size_t t = 0; t < triggers.size(); ++t) {
+    if (budget_ != nullptr && (tick++ & 15u) == 0) {
+      MDQA_RETURN_IF_ERROR(Absorb(budget_->Check("chase:trigger")));
+    }
+    if (interrupted()) break;
+    std::copy_n(triggers.Row(t), width, binding.begin());
+    if (probe) {
+      // Polled like the head evaluation it replaces; it scans no rows,
+      // so it charges no steps.
+      Status bs =
+          budget_ != nullptr ? budget_->Check("cq:row") : Status::Ok();
+      if (!bs.ok()) {
+        MDQA_RETURN_IF_ERROR(Absorb(std::move(bs)));
+        break;
+      }
+      plan->Instantiate(binding, &head);
+      if (HeadPresent(*instance_, rule, head)) continue;
+    } else if (options_.restricted) {
+      Result<bool> satisfied = CqEvaluator(*instance_, nullptr, budget_)
+                                   .Satisfiable(rule.head, {},
+                                                plan->Seed(binding));
+      if (!satisfied.ok()) {
+        MDQA_RETURN_IF_ERROR(Absorb(satisfied.status()));
+        break;
+      }
+      if (*satisfied) continue;
+    } else if (!plan->fired.emplace(binding.begin(),
+                                    binding.begin() + width).second) {
+      continue;  // semi-oblivious: this frontier already fired
+    }
+
+    // Ground body witness for provenance, found against the pre-firing
+    // instance (opt-in: one extra evaluation per firing).
+    std::vector<Atom> witness;
+    if (options_.provenance != nullptr) {
+      Status ws = CqEvaluator(*instance_, nullptr, budget_).Enumerate(
+          rule.body, rule.negated, rule.comparisons, plan->Seed(binding), {},
+          [&](const Subst& theta) {
+            witness.reserve(rule.body.size());
+            for (const Atom& b : rule.body) {
+              witness.push_back(SubstAtom(theta, b));
+            }
+            return false;  // first witness suffices
+          });
+      if (!ws.ok()) {
+        MDQA_RETURN_IF_ERROR(Absorb(std::move(ws)));
+        break;
+      }
+    }
+
+    for (size_t k = width; k < binding.size(); ++k) {
+      binding[k] = instance_->vocab()->FreshNull();
+      ++stats_->nulls_created;
+    }
+    ++stats_->tgd_firings;
+    plan->Instantiate(binding, &head);
+    const Term* row = head.data();
+    for (const Atom& a : rule.head) {
+      if (instance_->MutableTable(a.predicate, a.arity())->Insert(row,
+                                                                  level)) {
+        ++stats_->facts_added;
+        ++total_facts;
+        if (gained != nullptr) gained->insert(a.predicate);
+        if (budget_ != nullptr) {
+          MDQA_RETURN_IF_ERROR(Absorb(budget_->ChargeFacts(1)));
+        }
+        if (options_.provenance != nullptr) {
+          options_.provenance->Record(
+              Atom(a.predicate, std::vector<Term>(row, row + a.arity())),
+              ProvenanceStore::Derivation{rule, witness});
+        }
+      }
+      row += a.arity();
+    }
+    if (total_facts > options_.max_facts) {
+      Interrupt(Status::ResourceExhausted(
+                    "chase exceeded max_facts=" +
+                    std::to_string(options_.max_facts) + " at round " +
+                    std::to_string(level)),
+                ChaseStop::kFactLimit);
+      break;
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<ChaseStats> Chase::Run(const Program& program, Instance* instance,
@@ -270,54 +665,12 @@ Result<ChaseStats> Chase::Run(const Program& program, Instance* instance,
 Status Chase::Run(const Program& program, Instance* instance,
                   const ChaseOptions& options, ChaseStats* stats) {
   *stats = ChaseStats{};
-  ExecutionBudget* budget = options.budget;
-  // First truncation seen; non-OK means "stop gracefully, result is a
-  // sound partial instance". Hard faults return immediately instead.
-  Status interrupt = Status::Ok();
-  auto interrupted = [&]() { return !interrupt.ok(); };
-  auto note_interrupt = [&](Status s, ChaseStop reason) {
-    if (interrupt.ok()) {
-      interrupt = std::move(s);
-      stats->stop = reason;
-    }
-  };
-  // Routes a budget trip into `interrupt`; returns non-OK only for hard
-  // (non-truncation) faults, e.g. an injected kInternal.
-  auto absorb = [&](Status s, ChaseStop reason) -> Status {
-    if (s.ok() || interrupted()) return Status::Ok();
-    if (ExecutionBudget::IsTruncation(s)) {
-      note_interrupt(std::move(s), reason);
-      return Status::Ok();
-    }
-    return s;
-  };
-  auto budget_reason = [](const Status& s) {
-    return s.code() == StatusCode::kCancelled ? ChaseStop::kCancelled
-                                              : ChaseStop::kBudget;
-  };
-
-  Vocabulary* vocab = instance->vocab().get();
   const std::vector<Rule> tgds = program.Tgds();
   for (const Rule& r : tgds) {
     MDQA_RETURN_IF_ERROR(r.Validate());
   }
-
-  // Per-rule cached structure: frontier vars and existential vars.
-  struct RuleInfo {
-    const Rule* rule;
-    size_t index;  // into tgds order (keys the semi-oblivious fired set)
-    std::vector<uint32_t> frontier;
-    std::vector<uint32_t> existential;
-  };
-  std::vector<RuleInfo> infos;
-  infos.reserve(tgds.size());
-  for (size_t i = 0; i < tgds.size(); ++i) {
-    infos.push_back(RuleInfo{&tgds[i], i, tgds[i].FrontierVariables(),
-                             tgds[i].ExistentialVariables()});
-  }
-  // Semi-oblivious mode: remember which frontier bindings already fired,
-  // across rounds (full passes would otherwise refire them forever).
-  std::vector<std::unordered_set<Trigger, TriggerHash>> fired(tgds.size());
+  std::vector<RulePlan> plans;
+  for (const Rule& r : tgds) plans.emplace_back(&r);
 
   // Stratified negation: group rules by the stratum of their head
   // predicates and run strata to fixpoint in order — a rule only negates
@@ -326,30 +679,23 @@ Status Chase::Run(const Program& program, Instance* instance,
   // a single stratum and behave exactly as before.
   std::unordered_map<uint32_t, int> strata_of;
   MDQA_ASSIGN_OR_RETURN(strata_of, StratifyProgram(program));
-  int max_stratum = 0;
-  auto rule_stratum = [&strata_of](const Rule& r) {
-    int s = 0;
-    for (const Atom& h : r.head) {
+  std::vector<std::vector<RulePlan*>> by_stratum(1);
+  for (RulePlan& plan : plans) {
+    size_t stratum = 0;
+    for (const Atom& h : plan.rule->head) {
       auto it = strata_of.find(h.predicate);
-      if (it != strata_of.end()) s = std::max(s, it->second);
+      if (it != strata_of.end()) {
+        stratum = std::max(stratum, static_cast<size_t>(it->second));
+      }
     }
-    return s;
-  };
-  for (const Rule& r : tgds) max_stratum = std::max(max_stratum, rule_stratum(r));
-  std::vector<std::vector<RuleInfo>> by_stratum(
-      static_cast<size_t>(max_stratum) + 1);
-  for (const RuleInfo& info : infos) {
-    by_stratum[static_cast<size_t>(rule_stratum(*info.rule))].push_back(info);
+    if (stratum >= by_stratum.size()) by_stratum.resize(stratum + 1);
+    by_stratum[stratum].push_back(&plan);
   }
 
+  ChaseLoop loop(options, instance, stats);
+  uint64_t merges = 0;
   if (options.egd_mode == EgdMode::kInterleaved) {
-    Result<uint64_t> merges = ApplyEgds(program, instance, budget);
-    if (!merges.ok()) {
-      const ChaseStop reason = budget_reason(merges.status());
-      MDQA_RETURN_IF_ERROR(absorb(merges.status(), reason));
-    } else {
-      stats->egd_merges += *merges;
-    }
+    MDQA_RETURN_IF_ERROR(loop.RunEgds(program, &merges));
   }
 
   // EGD merges rewrite existing facts in place (keeping their old levels),
@@ -358,252 +704,59 @@ Status Chase::Run(const Program& program, Instance* instance,
   uint64_t round = 0;  // global across strata: levels stay monotone
   bool budget_exhausted = false;
 
-  for (const std::vector<RuleInfo>& stratum_rules : by_stratum) {
-  if (budget_exhausted || interrupted()) break;
-  bool stratum_start = true;
-  while (true) {
-    if (++round > options.max_rounds) {
-      --round;
-      budget_exhausted = true;
-      break;
-    }
-    if (budget != nullptr) {
-      Status bs = budget->CheckNow("chase:round");
-      if (bs.ok()) bs = budget->ChargeRounds(1);
-      const ChaseStop reason = budget_reason(bs);
-      MDQA_RETURN_IF_ERROR(absorb(std::move(bs), reason));
-      if (interrupted()) break;
-    }
-    const uint32_t level = static_cast<uint32_t>(round);
-    const bool full_pass =
-        stratum_start || !options.semi_naive || force_full;
-    stratum_start = false;
-    force_full = false;
-    bool changed = false;
-
-    for (const RuleInfo& info : stratum_rules) {
-      if (interrupted()) break;
-      const Rule& rule = *info.rule;
-      CqEvaluator eval(*instance, nullptr, budget);
-
-      // Collect candidate triggers first (enumeration must not observe
-      // concurrent mutation), deduped on frontier bindings. With a pool,
-      // each pass's matching is sharded across workers (the instance is
-      // immutable here); without one, CollectPassTriggers is exactly the
-      // legacy single-threaded Enumerate.
-      std::unordered_set<Trigger, TriggerHash> triggers;
-
-      if (full_pass) {
-        // Partition on the body atom with the largest table: most seeds,
-        // so the cheapest residual join per seed.
-        size_t pivot = 0;
-        if (options.pool != nullptr) {
-          uint32_t best = 0;
-          for (size_t j = 0; j < rule.body.size(); ++j) {
-            const FactTable* t = instance->Table(rule.body[j].predicate);
-            const uint32_t sz = t != nullptr ? t->size() : 0;
-            if (sz > best) {
-              best = sz;
-              pivot = j;
-            }
-          }
-        }
-        Status es = CollectPassTriggers(
-            *instance, rule, info.frontier, {}, pivot, eval, options.pool,
-            options.min_parallel_seeds, budget, &triggers);
-        const ChaseStop reason = budget_reason(es);
-        MDQA_RETURN_IF_ERROR(absorb(std::move(es), reason));
-      } else {
-        // Semi-naive: one pass per delta atom d — atom d restricted to the
-        // previous round's facts, atoms before d to strictly older ones.
-        // The delta atom is the natural partition pivot: its window is
-        // exactly the last round's new facts.
-        const uint32_t prev = level - 1;
-        for (size_t d = 0; d < rule.body.size() && !interrupted(); ++d) {
-          std::vector<AtomLevelWindow> windows(rule.body.size());
-          for (size_t j = 0; j < rule.body.size(); ++j) {
-            if (j < d) {
-              windows[j].max_level = prev > 0 ? prev - 1 : 0;
-              if (prev == 0) windows[j].min_level = 1;  // empty window
-            } else if (j == d) {
-              windows[j].min_level = prev;
-              windows[j].max_level = prev;
-            }  // j > d: unrestricted (everything known so far)
-          }
-          Status es = CollectPassTriggers(
-              *instance, rule, info.frontier, windows, d, eval, options.pool,
-              options.min_parallel_seeds, budget, &triggers);
-          const ChaseStop reason = budget_reason(es);
-          MDQA_RETURN_IF_ERROR(absorb(std::move(es), reason));
-        }
-      }
-      if (interrupted()) break;
-
-      // Canonical apply order: sort the deduped triggers on their frontier
-      // bindings (Term::operator< is total). This makes the firing order —
-      // and with it null numbering, restricted-chase skips, and the final
-      // instance — a function of the trigger *set* alone, independent of
-      // enumeration order, hash-set iteration order, and thread count:
-      // the parallel chase is bit-identical to the serial one.
-      std::vector<const Trigger*> ordered;
-      ordered.reserve(triggers.size());
-      for (const Trigger& t : triggers) ordered.push_back(&t);
-      std::sort(ordered.begin(), ordered.end(),
-                [](const Trigger* a, const Trigger* b) {
-                  return a->frontier_bindings < b->frontier_bindings;
-                });
-
-      // Apply triggers: restricted chase — skip when the head is already
-      // satisfied (facts fired earlier this round count, so equivalent
-      // triggers cost one null tuple, not many).
-      // The probe is polled once per 16 triggers through a local tick
-      // (the first trigger always polls, so armed faults and expired
-      // deadlines still surface deterministically); ChargeFacts below
-      // stays per-fact so fact caps trip exactly.
-      uint32_t trigger_tick = 0;
-      for (const Trigger* trig_ptr : ordered) {
-        const Trigger& trig = *trig_ptr;
-        if (budget != nullptr && (trigger_tick++ & 15u) == 0) {
-          Status bs = budget->Check("chase:trigger");
-          const ChaseStop reason = budget_reason(bs);
-          MDQA_RETURN_IF_ERROR(absorb(std::move(bs), reason));
-        }
-        if (interrupted()) break;
-        Subst h;
-        for (size_t i = 0; i < info.frontier.size(); ++i) {
-          h[info.frontier[i]] = trig.frontier_bindings[i];
-        }
-        if (options.restricted) {
-          CqEvaluator head_eval(*instance, nullptr, budget);
-          Result<bool> satisfied = head_eval.Satisfiable(rule.head, {}, h);
-          if (!satisfied.ok()) {
-            const ChaseStop reason = budget_reason(satisfied.status());
-            MDQA_RETURN_IF_ERROR(absorb(satisfied.status(), reason));
-            break;
-          }
-          if (*satisfied) continue;
-        } else if (!fired[info.index].insert(trig).second) {
-          continue;  // semi-oblivious: this frontier already fired
-        }
-
-        // Ground body witness for provenance, found against the
-        // pre-firing instance (opt-in: one extra evaluation per firing).
-        std::vector<Atom> witness;
-        if (options.provenance != nullptr) {
-          CqEvaluator witness_eval(*instance, nullptr, budget);
-          Status ws = witness_eval.Enumerate(
-              rule.body, rule.negated, rule.comparisons, h, {},
-              [&](const Subst& theta) {
-                witness.reserve(rule.body.size());
-                for (const Atom& b : rule.body) {
-                  witness.push_back(SubstAtom(theta, b));
-                }
-                return false;  // first witness suffices
-              });
-          if (!ws.ok()) {
-            const ChaseStop reason = budget_reason(ws);
-            MDQA_RETURN_IF_ERROR(absorb(std::move(ws), reason));
-            break;
-          }
-        }
-
-        for (uint32_t z : info.existential) {
-          h[z] = vocab->FreshNull();
-          ++stats->nulls_created;
-        }
-        ++stats->tgd_firings;
-        for (const Atom& head_atom : rule.head) {
-          Atom fact = SubstAtom(h, head_atom);
-          if (instance->AddFact(fact, level)) {
-            ++stats->facts_added;
-            changed = true;
-            if (budget != nullptr) {
-              Status fs = budget->ChargeFacts(1);
-              const ChaseStop reason = budget_reason(fs);
-              MDQA_RETURN_IF_ERROR(absorb(std::move(fs), reason));
-            }
-            if (options.provenance != nullptr) {
-              options.provenance->Record(
-                  fact, ProvenanceStore::Derivation{rule, witness});
-            }
-          }
-        }
-        if (instance->TotalFacts() > options.max_facts) {
-          note_interrupt(
-              Status::ResourceExhausted(
-                  "chase exceeded max_facts=" +
-                  std::to_string(options.max_facts) + " at round " +
-                  std::to_string(round)),
-              ChaseStop::kFactLimit);
-          break;
-        }
-      }
-    }
-    if (interrupted()) break;
-
-    if (options.egd_mode == EgdMode::kInterleaved) {
-      Result<uint64_t> merges = ApplyEgds(program, instance, budget);
-      if (!merges.ok()) {
-        const ChaseStop reason = budget_reason(merges.status());
-        MDQA_RETURN_IF_ERROR(absorb(merges.status(), reason));
+  for (const std::vector<RulePlan*>& stratum_rules : by_stratum) {
+    if (budget_exhausted || loop.interrupted()) break;
+    bool stratum_start = true;
+    while (true) {
+      if (++round > options.max_rounds) {
+        --round;
+        budget_exhausted = true;
         break;
       }
-      stats->egd_merges += *merges;
-      if (*merges > 0) {
-        changed = true;
-        force_full = true;
-      }
-    }
-    // Estimating memory walks the whole instance, so only pay for it
-    // when a limit was actually configured.
-    if (budget != nullptr && budget->has_memory_limit()) {
-      Status ms = budget->NoteMemory(instance->MemoryEstimateBytes());
-      const ChaseStop reason = budget_reason(ms);
-      MDQA_RETURN_IF_ERROR(absorb(std::move(ms), reason));
-      if (interrupted()) break;
-    }
+      MDQA_RETURN_IF_ERROR(loop.StartRound());
+      if (loop.interrupted()) break;
+      const bool full_pass =
+          stratum_start || !options.semi_naive || force_full;
+      stratum_start = false;
+      force_full = false;
+      const uint64_t added_before = stats->facts_added;
+      MDQA_RETURN_IF_ERROR(loop.Round(stratum_rules,
+                                      static_cast<uint32_t>(round),
+                                      full_pass, nullptr, nullptr));
+      if (loop.interrupted()) break;
+      bool changed = stats->facts_added > added_before;
 
-    stats->rounds = round;
-    if (!changed) break;  // this stratum reached its fixpoint
+      if (options.egd_mode == EgdMode::kInterleaved) {
+        MDQA_RETURN_IF_ERROR(loop.RunEgds(program, &merges));
+        if (loop.interrupted()) break;
+        if (merges > 0) {
+          changed = true;
+          force_full = true;
+        }
+      }
+      MDQA_RETURN_IF_ERROR(loop.NoteMemory());
+      if (loop.interrupted()) break;
+      stats->rounds = round;
+      if (!changed) break;  // this stratum reached its fixpoint
+    }
   }
-  }
+
   stats->rounds = round;
-  stats->reached_fixpoint = !budget_exhausted && !interrupted();
+  stats->reached_fixpoint = !budget_exhausted && !loop.interrupted();
 
   // Post-phase EGDs and the constraint check still run on the legacy
   // round-limit path (unchanged behaviour) but not after a budget trip:
   // the caller asked us to stop working.
-  if (!interrupted() && options.egd_mode == EgdMode::kPost) {
-    Result<uint64_t> merges = ApplyEgds(program, instance, budget);
-    if (!merges.ok()) {
-      const ChaseStop reason = budget_reason(merges.status());
-      MDQA_RETURN_IF_ERROR(absorb(merges.status(), reason));
-    } else {
-      stats->egd_merges += *merges;
-    }
+  if (!loop.interrupted() && options.egd_mode == EgdMode::kPost) {
+    MDQA_RETURN_IF_ERROR(loop.RunEgds(program, &merges));
   }
-  if (!interrupted() && options.check_constraints) {
-    Status cs = CheckConstraints(program, *instance, budget);
-    const ChaseStop reason = budget_reason(cs);
-    MDQA_RETURN_IF_ERROR(absorb(std::move(cs), reason));
+  if (!loop.interrupted() && options.check_constraints) {
+    MDQA_RETURN_IF_ERROR(
+        loop.Absorb(CheckConstraints(program, *instance, options.budget)));
   }
-
-  if (interrupted()) {
-    stats->reached_fixpoint = false;
-    stats->completeness = Completeness::kTruncated;
-    stats->interruption = interrupt;
-    return Status::Ok();
-  }
-  if (budget_exhausted) {
-    stats->completeness = Completeness::kTruncated;
-    stats->stop = ChaseStop::kRoundLimit;
-    stats->interruption = Status::ResourceExhausted(
-        "chase stopped at max_rounds=" + std::to_string(options.max_rounds));
-    return Status::Ok();
-  }
-  // Fixpoint reached and nothing cut the run short: the instance is the
-  // full chase result, so record the resume state Extend needs.
-  CaptureFrontier(instance, stats);
+  loop.Finish(round, budget_exhausted,
+              "chase stopped at max_rounds=" +
+                  std::to_string(options.max_rounds));
   return Status::Ok();
 }
 
@@ -731,50 +884,17 @@ Status Chase::Extend(const Program& program, Instance* instance,
     return Status::Ok();
   }
 
-  ExecutionBudget* budget = options.budget;
-  Status interrupt = Status::Ok();
-  auto interrupted = [&]() { return !interrupt.ok(); };
-  auto note_interrupt = [&](Status s, ChaseStop reason) {
-    if (interrupt.ok()) {
-      interrupt = std::move(s);
-      stats->stop = reason;
-    }
-  };
-  auto absorb = [&](Status s, ChaseStop reason) -> Status {
-    if (s.ok() || interrupted()) return Status::Ok();
-    if (ExecutionBudget::IsTruncation(s)) {
-      note_interrupt(std::move(s), reason);
-      return Status::Ok();
-    }
-    return s;
-  };
-  auto budget_reason = [](const Status& s) {
-    return s.code() == StatusCode::kCancelled ? ChaseStop::kCancelled
-                                              : ChaseStop::kBudget;
-  };
-
-  Vocabulary* vocab = instance->vocab().get();
+  ChaseLoop loop(options, instance, stats);
   // No deep copy of the rule set here (unlike Run): every rule was
   // already validated by Program::AddRule, and an extension is supposed
-  // to be cheap relative to the program size. Variable classifications
-  // are computed lazily, only for rules the delta actually reaches.
-  struct RuleInfo {
-    const Rule* rule;
-    bool prepared = false;
-    std::vector<uint32_t> frontier;
-    std::vector<uint32_t> existential;
-  };
-  std::vector<RuleInfo> infos;
+  // to be cheap relative to the program size. Rules are compiled lazily,
+  // only when the delta actually reaches them.
+  std::vector<RulePlan> plans;
   for (const Rule& r : program.rules()) {
-    if (r.IsTgd()) infos.push_back(RuleInfo{&r});
+    if (r.IsTgd()) plans.emplace_back(&r);
   }
-  auto prepare = [](RuleInfo* info) {
-    if (!info->prepared) {
-      info->frontier = info->rule->FrontierVariables();
-      info->existential = info->rule->ExistentialVariables();
-      info->prepared = true;
-    }
-  };
+  std::vector<RulePlan*> rules;
+  for (RulePlan& plan : plans) rules.push_back(&plan);
 
   // Seed the delta one level above the frontier: the first delta pass's
   // windows (pinned to `seed_level`) then select exactly these facts.
@@ -799,206 +919,46 @@ Status Chase::Extend(const Program& program, Instance* instance,
     if (instance->AddFact(f, seed_level)) {
       ++stats->facts_added;
       added_prev.insert(f.predicate);
-      dirty_since_egd.insert(f.predicate);
-      dirty_total.insert(f.predicate);
-      if (budget != nullptr) {
-        Status fs = budget->ChargeFacts(1);
-        const ChaseStop reason = budget_reason(fs);
-        MDQA_RETURN_IF_ERROR(absorb(std::move(fs), reason));
+      if (options.budget != nullptr) {
+        MDQA_RETURN_IF_ERROR(loop.Absorb(options.budget->ChargeFacts(1)));
       }
     }
   }
+  dirty_since_egd = dirty_total = added_prev;
 
   uint64_t round = seed_level;  // the seed insertion consumed this round
   bool force_full = false;
   bool budget_exhausted = false;
 
-  while (!interrupted() && !budget_exhausted) {  // TGD/EGD alternation
+  while (!loop.interrupted() && !budget_exhausted) {  // TGD/EGD alternation
     while (true) {  // TGD rounds to fixpoint
       if (++round - frontier.round > options.max_rounds) {
         --round;
         budget_exhausted = true;
         break;
       }
-      if (budget != nullptr) {
-        Status bs = budget->CheckNow("chase:round");
-        if (bs.ok()) bs = budget->ChargeRounds(1);
-        const ChaseStop reason = budget_reason(bs);
-        MDQA_RETURN_IF_ERROR(absorb(std::move(bs), reason));
-        if (interrupted()) break;
-      }
-      const uint32_t level = static_cast<uint32_t>(round);
+      MDQA_RETURN_IF_ERROR(loop.StartRound());
+      if (loop.interrupted()) break;
+      // Semi-naive restart: identical windows to Run's delta passes — in
+      // the first extension round `prev == seed_level`, so the delta atom
+      // ranges over exactly the seeded facts while earlier atoms stay on
+      // strictly older (base) rows. Restricted chase only (the fallback
+      // matrix rejects semi-oblivious): satisfied heads are skipped,
+      // which is also what makes re-derivations of base facts free.
       const bool full_pass = !options.semi_naive || force_full;
       force_full = false;
-      bool changed = false;
       std::unordered_set<uint32_t> added_this;
-
-      for (RuleInfo& info : infos) {
-        if (interrupted()) break;
-        const Rule& rule = *info.rule;
-        if (!full_pass) {
-          // Delta-driven skip: no body predicate gained a fact at the
-          // previous level, so every pivot window below is empty.
-          bool relevant = false;
-          for (const Atom& b : rule.body) {
-            if (added_prev.count(b.predicate) > 0) {
-              relevant = true;
-              break;
-            }
-          }
-          if (!relevant) continue;
-        }
-        prepare(&info);
-        CqEvaluator eval(*instance, nullptr, budget);
-        std::unordered_set<Trigger, TriggerHash> triggers;
-
-        if (full_pass) {
-          size_t pivot = 0;
-          if (options.pool != nullptr) {
-            uint32_t best = 0;
-            for (size_t j = 0; j < rule.body.size(); ++j) {
-              const FactTable* t = instance->Table(rule.body[j].predicate);
-              const uint32_t sz = t != nullptr ? t->size() : 0;
-              if (sz > best) {
-                best = sz;
-                pivot = j;
-              }
-            }
-          }
-          Status es = CollectPassTriggers(
-              *instance, rule, info.frontier, {}, pivot, eval, options.pool,
-              options.min_parallel_seeds, budget, &triggers);
-          const ChaseStop reason = budget_reason(es);
-          MDQA_RETURN_IF_ERROR(absorb(std::move(es), reason));
-        } else {
-          // Semi-naive restart: identical windows to Run's delta passes —
-          // in the first extension round `prev == seed_level`, so the
-          // delta atom ranges over exactly the seeded facts while earlier
-          // atoms stay on strictly older (base) rows.
-          const uint32_t prev = level - 1;
-          for (size_t d = 0; d < rule.body.size() && !interrupted(); ++d) {
-            // The pivot window is pinned to level `prev`; a pivot
-            // predicate that gained nothing there selects nothing.
-            if (added_prev.count(rule.body[d].predicate) == 0) continue;
-            std::vector<AtomLevelWindow> windows(rule.body.size());
-            for (size_t j = 0; j < rule.body.size(); ++j) {
-              if (j < d) {
-                windows[j].max_level = prev > 0 ? prev - 1 : 0;
-                if (prev == 0) windows[j].min_level = 1;  // empty window
-              } else if (j == d) {
-                windows[j].min_level = prev;
-                windows[j].max_level = prev;
-              }  // j > d: unrestricted
-            }
-            Status es = CollectPassTriggers(
-                *instance, rule, info.frontier, windows, d, eval,
-                options.pool, options.min_parallel_seeds, budget, &triggers);
-            const ChaseStop reason = budget_reason(es);
-            MDQA_RETURN_IF_ERROR(absorb(std::move(es), reason));
-          }
-        }
-        if (interrupted()) break;
-
-        // Canonical apply order, as in Run: sorted on frontier bindings,
-        // so the extension is deterministic at any thread count.
-        std::vector<const Trigger*> ordered;
-        ordered.reserve(triggers.size());
-        for (const Trigger& t : triggers) ordered.push_back(&t);
-        std::sort(ordered.begin(), ordered.end(),
-                  [](const Trigger* a, const Trigger* b) {
-                    return a->frontier_bindings < b->frontier_bindings;
-                  });
-
-        uint32_t trigger_tick = 0;
-        for (const Trigger* trig_ptr : ordered) {
-          const Trigger& trig = *trig_ptr;
-          if (budget != nullptr && (trigger_tick++ & 15u) == 0) {
-            Status bs = budget->Check("chase:trigger");
-            const ChaseStop reason = budget_reason(bs);
-            MDQA_RETURN_IF_ERROR(absorb(std::move(bs), reason));
-          }
-          if (interrupted()) break;
-          Subst h;
-          for (size_t i = 0; i < info.frontier.size(); ++i) {
-            h[info.frontier[i]] = trig.frontier_bindings[i];
-          }
-          // Restricted chase only (the fallback matrix rejects
-          // semi-oblivious): skip satisfied heads — this is also what
-          // makes re-derivations of base facts free.
-          CqEvaluator head_eval(*instance, nullptr, budget);
-          Result<bool> satisfied = head_eval.Satisfiable(rule.head, {}, h);
-          if (!satisfied.ok()) {
-            const ChaseStop reason = budget_reason(satisfied.status());
-            MDQA_RETURN_IF_ERROR(absorb(satisfied.status(), reason));
-            break;
-          }
-          if (*satisfied) continue;
-
-          std::vector<Atom> witness;
-          if (options.provenance != nullptr) {
-            CqEvaluator witness_eval(*instance, nullptr, budget);
-            Status ws = witness_eval.Enumerate(
-                rule.body, rule.negated, rule.comparisons, h, {},
-                [&](const Subst& theta) {
-                  witness.reserve(rule.body.size());
-                  for (const Atom& b : rule.body) {
-                    witness.push_back(SubstAtom(theta, b));
-                  }
-                  return false;  // first witness suffices
-                });
-            if (!ws.ok()) {
-              const ChaseStop reason = budget_reason(ws);
-              MDQA_RETURN_IF_ERROR(absorb(std::move(ws), reason));
-              break;
-            }
-          }
-
-          for (uint32_t z : info.existential) {
-            h[z] = vocab->FreshNull();
-            ++stats->nulls_created;
-          }
-          ++stats->tgd_firings;
-          for (const Atom& head_atom : rule.head) {
-            Atom fact = SubstAtom(h, head_atom);
-            if (instance->AddFact(fact, level)) {
-              ++stats->facts_added;
-              changed = true;
-              added_this.insert(fact.predicate);
-              dirty_since_egd.insert(fact.predicate);
-              dirty_total.insert(fact.predicate);
-              if (budget != nullptr) {
-                Status fs = budget->ChargeFacts(1);
-                const ChaseStop reason = budget_reason(fs);
-                MDQA_RETURN_IF_ERROR(absorb(std::move(fs), reason));
-              }
-              if (options.provenance != nullptr) {
-                options.provenance->Record(
-                    fact, ProvenanceStore::Derivation{rule, witness});
-              }
-            }
-          }
-          if (instance->TotalFacts() > options.max_facts) {
-            note_interrupt(
-                Status::ResourceExhausted(
-                    "chase exceeded max_facts=" +
-                    std::to_string(options.max_facts) + " at round " +
-                    std::to_string(round)),
-                ChaseStop::kFactLimit);
-            break;
-          }
-        }
-      }
-      if (interrupted()) break;
-      if (budget != nullptr && budget->has_memory_limit()) {
-        Status ms = budget->NoteMemory(instance->MemoryEstimateBytes());
-        const ChaseStop reason = budget_reason(ms);
-        MDQA_RETURN_IF_ERROR(absorb(std::move(ms), reason));
-        if (interrupted()) break;
-      }
+      MDQA_RETURN_IF_ERROR(loop.Round(rules, static_cast<uint32_t>(round),
+                                      full_pass, &added_prev, &added_this));
+      if (loop.interrupted()) break;
+      MDQA_RETURN_IF_ERROR(loop.NoteMemory());
+      if (loop.interrupted()) break;
+      dirty_since_egd.insert(added_this.begin(), added_this.end());
+      dirty_total.insert(added_this.begin(), added_this.end());
       added_prev = std::move(added_this);
-      if (!changed) break;  // TGD fixpoint for this alternation
+      if (added_prev.empty()) break;  // TGD fixpoint for this alternation
     }
-    if (interrupted() || budget_exhausted || !has_egds) break;
+    if (loop.interrupted() || budget_exhausted || !has_egds) break;
 
     // The EGDs were at fixpoint when the frontier was captured, so they
     // can only fire again if some EGD body predicate gained a fact since
@@ -1019,47 +979,29 @@ Status Chase::Extend(const Program& program, Instance* instance,
     // Separable EGDs: re-run the EGD fixpoint after the TGD restart; a
     // merge rewrites facts in place at their old levels (invisible to
     // delta windows), so the next TGD sweep runs full passes.
-    Result<uint64_t> merges = ApplyEgds(program, instance, budget);
-    if (!merges.ok()) {
-      const ChaseStop reason = budget_reason(merges.status());
-      MDQA_RETURN_IF_ERROR(absorb(merges.status(), reason));
-      break;
-    }
-    stats->egd_merges += *merges;
-    if (*merges == 0) break;
+    uint64_t merges = 0;
+    MDQA_RETURN_IF_ERROR(loop.RunEgds(program, &merges));
+    if (loop.interrupted() || merges == 0) break;
     force_full = true;
   }
 
-  if (!interrupted() && !budget_exhausted && options.check_constraints) {
+  if (!loop.interrupted() && !budget_exhausted &&
+      options.check_constraints) {
     // The base run checked every constraint before capturing the
     // frontier, so only constraints reachable from new facts can have
     // flipped. EGD merges rewrite old facts in place, invalidating that
     // reasoning — any merge forces the unrestricted check.
     const std::unordered_set<uint32_t>* filter =
         stats->egd_merges == 0 ? &dirty_total : nullptr;
-    Status cs = CheckConstraints(program, *instance, budget, filter);
-    const ChaseStop reason = budget_reason(cs);
-    MDQA_RETURN_IF_ERROR(absorb(std::move(cs), reason));
+    MDQA_RETURN_IF_ERROR(loop.Absorb(
+        CheckConstraints(program, *instance, options.budget, filter)));
   }
-
-  stats->rounds = round;
-  stats->reached_fixpoint = !interrupted() && !budget_exhausted;
-  if (interrupted()) {
-    stats->reached_fixpoint = false;
-    stats->completeness = Completeness::kTruncated;
-    stats->interruption = interrupt;
-    return Status::Ok();
+  loop.Finish(round, budget_exhausted,
+              "chase extension stopped after max_rounds=" +
+                  std::to_string(options.max_rounds) + " additional rounds");
+  if (stats->frontier.valid) {
+    stats->frontier.egd_merges = frontier.egd_merges + stats->egd_merges;
   }
-  if (budget_exhausted) {
-    stats->completeness = Completeness::kTruncated;
-    stats->stop = ChaseStop::kRoundLimit;
-    stats->interruption = Status::ResourceExhausted(
-        "chase extension stopped after max_rounds=" +
-        std::to_string(options.max_rounds) + " additional rounds");
-    return Status::Ok();
-  }
-  CaptureFrontier(instance, stats);
-  stats->frontier.egd_merges = frontier.egd_merges + stats->egd_merges;
   return Status::Ok();
 }
 

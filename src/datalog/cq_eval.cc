@@ -209,9 +209,12 @@ Status CqEvaluator::Enumerate(
     // heuristic — both executors produce the same bytes — and only
     // whole-relation enumerations (empty initial bindings: trigger
     // collection passes, query answering) amortize the executor's
-    // plan-compilation setup; seeded point lookups (per-trigger
-    // head-satisfaction and constraint checks, parallel shard seeds)
-    // stay on the low-setup backtracking path.
+    // plan-compilation setup; seeded point lookups (the chase's head
+    // check for existential heads, the chase's search for a provenance
+    // witness, parallel shard seeds) stay on the low-setup backtracking
+    // path.
+    // Existential-free heads never get here: the chase probes their
+    // instantiated rows in the fact tables directly.
     if (budget_ != nullptr) {
       Status bs = budget_->Check("cq:row");
       if (!bs.ok()) return bs;

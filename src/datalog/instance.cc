@@ -1,6 +1,7 @@
 #include "datalog/instance.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace mdqa::datalog {
 
@@ -22,15 +23,37 @@ size_t FactTable::HashRow(const Term* row) const {
   return seed & hash_mask_;
 }
 
-int64_t FactTable::FindRow(const Term* row) const {
-  auto it = dedup_.find(HashRow(row));
-  if (it == dedup_.end()) return -1;
-  // The bucket is keyed by a lossy hash: verify full-row equality before
+size_t FactTable::HomeSlot(const Term* row) const {
+  return (HashRow(row) * 0x9e3779b97f4a7c15ull) >> dedup_shift_;
+}
+
+size_t FactTable::DedupSlot(const Term* row) const {
+  const size_t mask = dedup_.size() - 1;
+  size_t slot = HomeSlot(row);
+  // Slots are keyed by a lossy hash: verify full-row equality before
   // trusting a candidate (two distinct rows must never alias).
-  for (uint32_t idx : it->second) {
-    if (std::equal(row, row + arity_, Row(idx))) return idx;
+  while (dedup_[slot] != kEmptySlot &&
+         !std::equal(row, row + arity_, Row(dedup_[slot]))) {
+    slot = (slot + 1) & mask;
   }
-  return -1;
+  return slot;
+}
+
+int64_t FactTable::FindRow(const Term* row) const {
+  if (dedup_.empty()) return -1;
+  const uint32_t idx = dedup_[DedupSlot(row)];
+  return idx == kEmptySlot ? int64_t{-1} : int64_t{idx};
+}
+
+void FactTable::RehashDedup(size_t capacity) {
+  dedup_.assign(capacity, kEmptySlot);
+  dedup_shift_ = 64 - std::countr_zero(capacity);
+  // Rows are distinct, so each takes the first empty slot of its chain.
+  for (uint32_t r = 0; r < size(); ++r) {
+    size_t slot = HomeSlot(Row(r));
+    while (dedup_[slot] != kEmptySlot) slot = (slot + 1) & (capacity - 1);
+    dedup_[slot] = r;
+  }
 }
 
 bool FactTable::InSealedDict(size_t pos, Term t) const {
@@ -41,16 +64,21 @@ bool FactTable::InSealedDict(size_t pos, Term t) const {
 }
 
 bool FactTable::Insert(const Term* row, uint32_t level) {
-  int64_t existing = FindRow(row);
-  if (existing >= 0) {
-    uint32_t& lvl = levels_[static_cast<uint32_t>(existing)];
+  if (dedup_.empty()) RehashDedup(8);
+  const size_t slot = DedupSlot(row);
+  if (dedup_[slot] != kEmptySlot) {
+    uint32_t& lvl = levels_[dedup_[slot]];
     lvl = std::min(lvl, level);
     return false;
   }
   uint32_t idx = static_cast<uint32_t>(size());
   data_.insert(data_.end(), row, row + arity_);
   levels_.push_back(level);
-  dedup_[HashRow(row)].push_back(idx);
+  if (2 * size() > dedup_.size()) {
+    RehashDedup(2 * dedup_.size());  // places the new row too
+  } else {
+    dedup_[slot] = idx;
+  }
   if (mode_ == StorageMode::kRow) {
     for (size_t pos = 0; pos < arity_; ++pos) {
       auto& bucket = index_[pos][TermHash{}(row[pos]) & hash_mask_];
@@ -158,13 +186,9 @@ void FactTable::set_hash_mask_for_test(uint64_t mask) {
 uint64_t FactTable::MemoryEstimateBytes() const {
   uint64_t bytes = data_.capacity() * sizeof(Term) +
                    levels_.capacity() * sizeof(uint32_t);
+  bytes += dedup_.capacity() * sizeof(uint32_t);
   // Hash maps: count buckets plus the per-entry row vectors. This is an
   // estimate for budget accounting, not an allocator-exact figure.
-  bytes += dedup_.bucket_count() *
-           (sizeof(size_t) + sizeof(std::vector<uint32_t>));
-  for (const auto& [_, rows] : dedup_) {
-    bytes += rows.capacity() * sizeof(uint32_t);
-  }
   for (const auto& m : index_) {
     bytes += m.bucket_count() *
              (sizeof(uint64_t) +

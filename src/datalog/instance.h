@@ -31,11 +31,11 @@ enum class StorageMode : uint8_t {
 const char* StorageModeToString(StorageMode mode);
 
 /// Deduplicated ground-fact storage for one predicate: flattened term
-/// rows with a hash-based dedup table, plus per-position probe structures
-/// in one of two layouts (StorageMode). Each row carries a derivation
-/// level: 0 for extensional facts, and 1 + max(body levels) for
-/// chase-derived facts — the level-bounded chase used for weakly-sticky
-/// query answering keys off this.
+/// rows with an open-addressing dedup index over row ids, plus
+/// per-position probe structures in one of two layouts (StorageMode).
+/// Each row carries a derivation level: 0 for extensional facts, and
+/// 1 + max(body levels) for chase-derived facts — the level-bounded
+/// chase used for weakly-sticky query answering keys off this.
 ///
 /// A table is segmented into a *frozen base* (rows below `frozen_rows()`,
 /// written before the last `MarkFrozen()`) and a *mutable overlay* (rows
@@ -45,10 +45,11 @@ const char* StorageModeToString(StorageMode mode);
 /// shared base ends when an update path appends. In columnar mode the
 /// sealed segments of the chain are additionally shared *between* cloned
 /// tables (immutable `shared_ptr<const Segment>`), so a copy-on-write
-/// clone re-copies only the rows, dedup table and mutable overlay — the
-/// dictionary/postings structures of the frozen base are never duplicated.
+/// clone re-copies only the rows and levels, the dedup index (one flat
+/// array of row ids) and the mutable overlay — the dictionary/postings
+/// structures of the frozen base are never duplicated.
 ///
-/// Every hash-keyed probe structure here (the dedup table, the row-mode
+/// Every hash-keyed probe structure here (the dedup index, the row-mode
 /// per-position indexes, the columnar dictionaries) verifies candidates
 /// by full row/term equality before trusting them: a colliding 64-bit
 /// key must never alias two rows. `set_hash_mask_for_test` forces total
@@ -128,7 +129,7 @@ class FactTable {
   void SealOverlay();
 
   /// Capacity-based estimate of heap bytes held by this table (rows,
-  /// levels, dedup map, and the per-position probe structures of the
+  /// levels, dedup index, and the per-position probe structures of the
   /// active layout). Feeds the execution budget's memory high-water
   /// accounting. Sealed segments shared with a cloned table still count
   /// in full here (the estimate is per-view).
@@ -140,8 +141,17 @@ class FactTable {
   void set_hash_mask_for_test(uint64_t mask);
 
  private:
+  static constexpr uint32_t kEmptySlot = 0xffffffffu;
+
   int64_t FindRow(const Term* row) const;
   size_t HashRow(const Term* row) const;
+  /// Fibonacci-hashed start of `row`'s probe chain in the dedup index.
+  size_t HomeSlot(const Term* row) const;
+  /// The dedup-index slot holding `row`, or the empty slot where its
+  /// probe chain ends. Pre: the index is non-empty.
+  size_t DedupSlot(const Term* row) const;
+  /// Rebuilds the dedup index over every row at `capacity` slots.
+  void RehashDedup(size_t capacity);
   /// True when `t` occurs at position `pos` of any sealed segment.
   bool InSealedDict(size_t pos, Term t) const;
 
@@ -149,7 +159,10 @@ class FactTable {
   StorageMode mode_;
   std::vector<Term> data_;        // flattened rows (both modes)
   std::vector<uint32_t> levels_;  // per-row derivation level
-  std::unordered_map<size_t, std::vector<uint32_t>> dedup_;  // hash -> rows
+  // Dedup index: row ids by open addressing — power-of-two capacity,
+  // load <= 1/2, linear probing.
+  std::vector<uint32_t> dedup_;
+  int dedup_shift_ = 64;  // 64 - log2(dedup_.size())
   // Row mode: per-position hash indexes, term-hash -> verified (term,
   // rows) buckets.
   std::vector<

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/thread_pool.h"
 #include "datalog/parser.h"
 
 namespace mdqa::datalog {
@@ -312,6 +313,175 @@ TEST(Chase, CheckConstraintsStandalone) {
       Atom(p->vocab()->FindPredicate("P"), {p->mutable_vocab()->Int(9)}), 0);
   EXPECT_EQ(Chase::CheckConstraints(*p, instance).code(),
             StatusCode::kInconsistent);
+}
+
+// Existential-free heads are checked by probing their instantiated rows
+// in the fact tables; the cases below pin that check's firing decisions
+// together with the ChaseStats they produce.
+
+TEST(Chase, ProbedHeadFiresOnlyForTheMissingAtom) {
+  // Triggers "a" and "b" each find one head atom present and the other
+  // missing: each fires once and adds only its missing fact. Trigger "c"
+  // finds both head atoms and is skipped.
+  auto run = RunChase(
+      "Q(\"a\"). Q(\"b\"). Q(\"c\"). R(\"a\"). P(\"b\"). R(\"c\"). P(\"c\").\n"
+      "R(X), P(X) :- Q(X).\n");
+  ASSERT_TRUE(run.stats.ok()) << run.stats.status();
+  EXPECT_EQ(run.stats->tgd_firings, 2u);
+  EXPECT_EQ(run.stats->facts_added, 2u);
+  EXPECT_EQ(run.stats->nulls_created, 0u);
+  EXPECT_EQ(Count(run, "R"), 3u);
+  EXPECT_EQ(Count(run, "P"), 3u);
+  Vocabulary* vocab = run.program.mutable_vocab();
+  EXPECT_TRUE(run.instance.Contains(
+      Atom(vocab->FindPredicate("P"), {vocab->Str("a")})));
+  EXPECT_TRUE(run.instance.Contains(
+      Atom(vocab->FindPredicate("R"), {vocab->Str("b")})));
+}
+
+TEST(Chase, ProbedHeadWithRepeatedVariableAndConstant) {
+  auto run = RunChase("Q(\"a\").\nP(X, X, \"c\") :- Q(X).\n");
+  ASSERT_TRUE(run.stats.ok()) << run.stats.status();
+  EXPECT_EQ(run.stats->tgd_firings, 1u);
+  EXPECT_EQ(run.stats->facts_added, 1u);
+  EXPECT_EQ(run.instance.ToString(), "P(\"a\", \"a\", \"c\").\nQ(\"a\").\n");
+
+  // The same row already a fact: the trigger is satisfied, nothing fires.
+  auto present = RunChase(
+      "Q(\"a\"). P(\"a\", \"a\", \"c\").\nP(X, X, \"c\") :- Q(X).\n");
+  ASSERT_TRUE(present.stats.ok()) << present.stats.status();
+  EXPECT_EQ(present.stats->tgd_firings, 0u);
+  EXPECT_EQ(present.stats->facts_added, 0u);
+  EXPECT_EQ(Count(present, "P"), 1u);
+}
+
+TEST(Chase, EmptyFrontierFiresAtMostOnce) {
+  // The frontier is empty, so every body match projects onto the same
+  // width-0 trigger row: one firing, serial or sharded across a pool.
+  const char* text = "P(\"a\"). P(\"b\"). P(\"d\").\nQ(\"c\") :- P(X).\n";
+  ThreadPool pool(2);
+  ChaseOptions pooled;
+  pooled.pool = &pool;
+  pooled.min_parallel_seeds = 1;
+  for (const ChaseOptions& options : {ChaseOptions(), pooled}) {
+    auto run = RunChase(text, options);
+    ASSERT_TRUE(run.stats.ok()) << run.stats.status();
+    EXPECT_EQ(run.stats->tgd_firings, 1u);
+    EXPECT_EQ(run.stats->facts_added, 1u);
+    EXPECT_EQ(Count(run, "Q"), 1u);
+    Vocabulary* vocab = run.program.mutable_vocab();
+    EXPECT_TRUE(run.instance.Contains(
+        Atom(vocab->FindPredicate("Q"), {vocab->Str("c")})));
+  }
+  auto present = RunChase("P(\"a\"). Q(\"c\").\nQ(\"c\") :- P(X).\n");
+  ASSERT_TRUE(present.stats.ok()) << present.stats.status();
+  EXPECT_EQ(present.stats->tgd_firings, 0u);
+  EXPECT_EQ(present.stats->facts_added, 0u);
+}
+
+TEST(Chase, ProbedHeadStillPollsCqRow) {
+  // One "cq:row" poll for the collection pass, then one per probed
+  // trigger: a fault armed on the third hit stops the second trigger.
+  auto p = Parser::ParseProgram(
+      "P(\"a\"). P(\"b\"). P(\"d\").\nQ(X) :- P(X).\n");
+  ASSERT_TRUE(p.ok()) << p.status();
+  FaultInjector faults;
+  faults.Arm("cq:row", 3, Status::ResourceExhausted("injected trip"));
+  ExecutionBudget budget;
+  budget.set_fault_injector(&faults);
+  ChaseOptions options;
+  options.budget = &budget;
+  Instance instance = Instance::FromProgram(*p);
+  ChaseStats stats;
+  ASSERT_TRUE(Chase::Run(*p, &instance, options, &stats).ok());
+  EXPECT_EQ(stats.completeness, Completeness::kTruncated);
+  EXPECT_EQ(stats.stop, ChaseStop::kBudget);
+  EXPECT_EQ(stats.tgd_firings, 1u);
+  EXPECT_EQ(stats.facts_added, 1u);
+  EXPECT_EQ(faults.HitCount("cq:row"), 3u);
+}
+
+TEST(Chase, ProjectingRuleWithManyMatchesPerTrigger) {
+  // 256 x 300 edges: far more body matches than distinct triggers, enough
+  // to make the trigger buffer compact itself during the pass. Edges are
+  // stored in descending source order, so matches arrive unsorted.
+  auto p = Parser::ParseProgram("Reach(X) :- Edge(X, Y).\n");
+  ASSERT_TRUE(p.ok()) << p.status();
+  Vocabulary* vocab = p->mutable_vocab();
+  auto edge = vocab->InternPredicate("Edge", 2);
+  ASSERT_TRUE(edge.ok());
+  for (int x = 0; x < 256; ++x) vocab->Int(x);  // ascending term ids
+  Instance instance(p->vocab());
+  for (int x = 255; x >= 0; --x) {
+    for (int y = 0; y < 300; ++y) {
+      instance.AddFact(Atom(*edge, {vocab->Int(x), vocab->Int(1000 + y)}), 0);
+    }
+  }
+  Result<ChaseStats> stats = Chase::Run(*p, &instance);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->tgd_firings, 256u);
+  EXPECT_EQ(stats->facts_added, 256u);
+  const FactTable* reach = instance.Table(vocab->FindPredicate("Reach"));
+  ASSERT_NE(reach, nullptr);
+  ASSERT_EQ(reach->size(), 256u);
+  for (uint32_t r = 0; r < reach->size(); ++r) {
+    EXPECT_EQ(reach->Row(r)[0], vocab->Int(r));  // fired in sorted order
+  }
+}
+
+TEST(Chase, MaxFactsTripsOnExistentialFreeRecursion) {
+  // 4 edges plus a running count of derived T facts: the third firing of
+  // the first round takes the instance to 7 > max_facts = 6.
+  auto p = Parser::ParseProgram(
+      "E(1, 2). E(2, 3). E(3, 4). E(4, 5).\n"
+      "T(X, Y) :- E(X, Y).\n"
+      "T(X, Z) :- T(X, Y), E(Y, Z).\n");
+  ASSERT_TRUE(p.ok()) << p.status();
+  ChaseOptions options;
+  options.max_facts = 6;
+  Instance instance = Instance::FromProgram(*p);
+  ChaseStats stats;
+  ASSERT_TRUE(Chase::Run(*p, &instance, options, &stats).ok());
+  EXPECT_EQ(stats.stop, ChaseStop::kFactLimit);
+  EXPECT_EQ(stats.completeness, Completeness::kTruncated);
+  EXPECT_FALSE(stats.reached_fixpoint);
+  EXPECT_EQ(stats.rounds, 1u);
+  EXPECT_EQ(stats.tgd_firings, 3u);
+  EXPECT_EQ(stats.facts_added, 3u);
+  EXPECT_EQ(instance.TotalFacts(), 7u);
+
+  // The legacy overload reports the same trip as an error.
+  Instance again = Instance::FromProgram(*p);
+  Result<ChaseStats> legacy = Chase::Run(*p, &again, options);
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_EQ(legacy.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(Chase, SatisfiedExtendLeavesHeadTableShared) {
+  auto p = Parser::ParseProgram(
+      "A(\"a\"). B(\"a\"). B(\"b\").\nB(X) :- A(X).\n");
+  ASSERT_TRUE(p.ok()) << p.status();
+  Instance instance = Instance::FromProgram(*p);
+  ChaseStats base;
+  ASSERT_TRUE(Chase::Run(*p, &instance, ChaseOptions(), &base).ok());
+  ASSERT_TRUE(base.frontier.valid);
+  const uint32_t a = p->vocab()->FindPredicate("A");
+  const uint32_t b = p->vocab()->FindPredicate("B");
+  Instance snapshot = instance.Snapshot();
+
+  // The delta's only trigger derives B("b"), already a fact.
+  ChaseStats stats;
+  ASSERT_TRUE(Chase::Extend(*p, &instance, base.frontier,
+                            {Atom(a, {p->mutable_vocab()->Str("b")})},
+                            ChaseOptions(), &stats)
+                  .ok());
+  EXPECT_FALSE(stats.extend_fallback);
+  EXPECT_EQ(stats.tgd_firings, 0u);
+  EXPECT_EQ(stats.facts_added, 1u);  // the delta fact itself
+  EXPECT_TRUE(instance.Contains(Atom(a, {p->mutable_vocab()->Str("b")})));
+  EXPECT_EQ(instance.CountFacts(b), 2u);
+  EXPECT_FALSE(instance.SharesTableWith(snapshot, a));
+  EXPECT_TRUE(instance.SharesTableWith(snapshot, b));
 }
 
 TEST(Chase, StatsToStringMentionsFixpoint) {

@@ -245,6 +245,25 @@ TEST(Instance, SnapshotSharesTablesUntilMutation) {
   EXPECT_TRUE(snap.SharesTableWith(base, pred_q));
   EXPECT_EQ(base.CountFacts(pred_p), 1u);  // the base never sees the write
   EXPECT_EQ(snap.CountFacts(pred_p), 2u);
+
+  // Grow the clone's dedup index past at least one resize; the base's
+  // index, copied before, answers only for its own rows.
+  std::vector<Atom> added;
+  for (int i = 0; i < 40; ++i) {
+    added.emplace_back(pred_p,
+                       std::vector<Term>{p->mutable_vocab()->Int(i)});
+    EXPECT_TRUE(snap.AddFact(added.back(), 1));
+  }
+  EXPECT_EQ(snap.CountFacts(pred_p), 42u);
+  for (const Atom& a : added) {
+    EXPECT_TRUE(snap.Contains(a));
+    EXPECT_FALSE(base.Contains(a));
+  }
+  const Atom old_row(pred_p, {p->mutable_vocab()->Str("a")});
+  EXPECT_FALSE(snap.AddFact(old_row, 0));  // duplicate on both sides
+  EXPECT_FALSE(base.AddFact(old_row, 0));
+  EXPECT_EQ(base.CountFacts(pred_p), 1u);
+  EXPECT_EQ(snap.CountFacts(pred_p), 42u);
 }
 
 TEST(Instance, GenerationBumpsOnMutationOnly) {

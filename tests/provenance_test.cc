@@ -75,6 +75,37 @@ TEST(Provenance, FirstDerivationWins) {
   EXPECT_EQ(p->vocab()->AtomToString(d->body[0]), "A(1)");
 }
 
+// An existential-free head is checked by probing its instantiated row in
+// provenance runs too; each firing's witness must still be seeded with
+// that trigger's frontier bindings, not found from scratch.
+TEST(Provenance, ProbedHeadWitnessesFollowTheirTrigger) {
+  auto p = Parser::ParseProgram(
+      "E(1, 2). E(3, 4). E(5, 6). F(2). F(4). F(6). R(5).\n"
+      "R(X) :- E(X, Y), F(Y).\n");
+  ASSERT_TRUE(p.ok());
+  ProvenanceStore store;
+  ChaseOptions options;
+  options.provenance = &store;
+  Instance inst = Instance::FromProgram(*p);
+  ChaseStats stats;
+  ASSERT_TRUE(Chase::Run(*p, &inst, options, &stats).ok());
+  EXPECT_EQ(stats.tgd_firings, 2u);  // R(5) was already a fact
+  EXPECT_EQ(stats.facts_added, 2u);
+  EXPECT_EQ(store.size(), 2u);
+  for (const char* fact : {"R(1)", "R(3)"}) {
+    Atom goal = Parser::ParseGroundAtom(fact, p->mutable_vocab()).value();
+    const auto* d = store.Find(goal);
+    ASSERT_NE(d, nullptr) << fact;
+    ASSERT_EQ(d->body.size(), 2u);
+    const std::string x(1, fact[2]);
+    const std::string y(1, static_cast<char>(fact[2] + 1));
+    EXPECT_EQ(p->vocab()->AtomToString(d->body[0]), "E(" + x + ", " + y + ")");
+    EXPECT_EQ(p->vocab()->AtomToString(d->body[1]), "F(" + y + ")");
+  }
+  Atom edb = Parser::ParseGroundAtom("R(5)", p->mutable_vocab()).value();
+  EXPECT_EQ(store.Find(edb), nullptr);
+}
+
 TEST(Provenance, ExistentialNullsInHeads) {
   auto p = Parser::ParseProgram(
       "Person(\"ann\").\n"
