@@ -3,29 +3,13 @@
 // reports no measurements (extended abstract); the reproduction grows
 // synthetic hospital instances and shows both engines scaling
 // polynomially (near-linearly here) in the number of extensional facts.
-//
-// `--threads=N` additionally sweeps the parallel assessment engine from
-// serial up to N workers on the synthetic scaling scenario, verifies the
-// pooled reports are byte-identical to the serial one, and writes
-// BENCH_parallel.json. Speedup is bounded by the physical core count
-// (recorded in the JSON) — on a single-core host every configuration
-// measures ~1x by construction.
 
-#include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <fstream>
-#include <string>
-#include <thread>
-#include <vector>
 
-#include "base/json.h"
-#include "base/thread_pool.h"
 #include "bench_common.h"
 #include "datalog/parser.h"
 #include "qa/chase_qa.h"
 #include "qa/deterministic_ws.h"
-#include "quality/assessor.h"
 #include "scenarios/synthetic.h"
 
 namespace mdqa {
@@ -70,86 +54,6 @@ void Reproduce() {
     if (chase_answers.size() != ws_answers.size()) {
       std::cout << "  !! engine disagreement\n";
     }
-  }
-}
-
-// Parallel sweep: one full quality assessment (materialization chase +
-// per-relation quality versions) serially, then on a work-stealing pool
-// at 2/4/... up to `max_threads` workers. Every pooled report must match
-// the serial one byte for byte (the determinism contract proven by
-// tests/parallel_diff_test); timings land in BENCH_parallel.json.
-void ReproduceParallel(int max_threads) {
-  scenarios::SyntheticSpec spec;
-  spec.patients = 160;
-  spec.days = 10;
-  auto context = Check(scenarios::BuildSyntheticContext(spec), "context");
-  quality::Assessor assessor(&context);
-
-  auto assess_ms = [&](ThreadPool* pool, std::string* render) {
-    // Median of 3: the assessment is seconds-scale, so a small sample
-    // with a median is enough to shed scheduler noise.
-    std::vector<double> samples;
-    for (int rep = 0; rep < 3; ++rep) {
-      quality::AssessOptions opts;
-      opts.pool = pool;
-      auto t0 = std::chrono::steady_clock::now();
-      auto report = Check(assessor.Assess(opts), "assess");
-      auto t1 = std::chrono::steady_clock::now();
-      samples.push_back(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-      if (render != nullptr && rep == 0) *render = report.ToString();
-    }
-    std::sort(samples.begin(), samples.end());
-    return samples[1];
-  };
-
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  std::cout << "\nparallel assessment sweep (synthetic, patients="
-            << spec.patients << ", days=" << spec.days
-            << "; hardware threads: " << hw << "):\n"
-            << "  threads   assess(ms)   speedup   identical\n";
-
-  std::string serial_render;
-  double serial_ms = assess_ms(nullptr, &serial_render);
-  std::printf("  %7s   %10.2f   %7s   %9s\n", "serial", serial_ms, "1.00x",
-              "-");
-
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("experiment").String("parallel");
-  bench::StampProvenance(&w);
-  w.Key("scenario").BeginObject();
-  w.Key("patients").Number(static_cast<int64_t>(spec.patients));
-  w.Key("days").Number(static_cast<int64_t>(spec.days));
-  w.EndObject();
-  w.Key("serial_ms").Number(serial_ms);
-  w.Key("runs").BeginArray();
-
-  bool all_identical = true;
-  for (int threads = 2; threads <= max_threads; threads *= 2) {
-    ThreadPool pool(static_cast<size_t>(threads));
-    std::string render;
-    double ms = assess_ms(&pool, &render);
-    bool identical = render == serial_render;
-    all_identical = all_identical && identical;
-    double speedup = ms > 0 ? serial_ms / ms : 0.0;
-    std::printf("  %7d   %10.2f   %6.2fx   %9s\n", threads, ms, speedup,
-                identical ? "yes" : "NO");
-    w.BeginObject();
-    w.Key("threads").Number(static_cast<int64_t>(threads));
-    w.Key("ms").Number(ms);
-    w.Key("speedup").Number(speedup);
-    w.Key("identical").Bool(identical);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("all_identical").Bool(all_identical);
-  w.EndObject();
-
-  bench::WriteArtifact("BENCH_parallel.json", w.TakeString() + "\n");
-  if (!all_identical) {
-    std::cerr << "!! pooled report diverged from serial\n";
-    std::exit(1);
   }
 }
 
@@ -211,29 +115,8 @@ BENCHMARK(BM_BooleanQuery_Selective)->Arg(40)->Arg(160);
 }  // namespace mdqa
 
 int main(int argc, char** argv) {
-  // Strip `--threads=N` / `--threads N` before google-benchmark sees the
-  // arguments; it caps the parallel sweep (default 8 → serial, 2, 4, 8).
-  int max_threads = 8;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      max_threads = std::atoi(argv[i] + 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      max_threads = std::atoi(argv[++i]);
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  if (max_threads < 1) {
-    std::cerr << "--threads expects a positive integer\n";
-    return 2;
-  }
-  int args_count = static_cast<int>(args.size());
   return mdqa::bench::RunBench(
-      args_count, args.data(), "C2",
+      argc, argv, "C2",
       "Section IV: PTIME data-complexity scaling of BCQ answering",
-      [max_threads] {
-        mdqa::Reproduce();
-        mdqa::ReproduceParallel(max_threads);
-      });
+      [] { mdqa::Reproduce(); });
 }

@@ -92,8 +92,9 @@ ScenarioBenchRecord MeasureFamily(ScenarioFamily family) {
 
   quality::Assessor assessor(&scenario.context);
 
-  // Engine configurations: serial chase, pooled chase, and every other
-  // engine the planner declares sound for the compiled program.
+  // Engine configurations: serial chase, chase with the relations fanned
+  // out on a pool, and every other engine the planner declares sound for
+  // the compiled program.
   auto program = Check(scenario.context.BuildProgram(), "program");
   datalog::ProgramAnalysis analysis(program);
   auto props = Check(scenario.context.ontology().Analyze(), "analyze");

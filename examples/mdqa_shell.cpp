@@ -12,9 +12,10 @@
 //                     tagged "truncated" when it expires. Ctrl-C likewise
 //                     cancels the running command instead of killing the
 //                     shell (exit with 'quit' or Ctrl-D).
-//   --threads=N       run chase/ask on an N-worker thread pool (results
-//                     are identical to serial execution; see
-//                     docs/parallelism.md). Default: serial.
+//   --threads=N       evaluate `ask`'s UCQ rewriting disjuncts on an
+//                     N-worker thread pool (results are identical to
+//                     serial execution; see docs/parallelism.md). The
+//                     chase always runs serially. Default: serial.
 //
 // Commands:
 //   load <file>            parse a Datalog± program file into the session
@@ -283,7 +284,6 @@ class Shell {
     datalog::ChaseOptions options;
     options.provenance = &provenance_;
     options.budget = &budget_;
-    options.pool = pool_.get();
     datalog::ChaseStats stats;
     Status s = datalog::Chase::Run(program_, instance_.get(), options, &stats);
     if (!s.ok()) {
@@ -344,7 +344,6 @@ class Shell {
     datalog::ChaseOptions options;
     options.provenance = &provenance_;
     options.budget = &budget_;
-    options.pool = pool_.get();
     datalog::ChaseStats stats;
     Status s = datalog::Chase::Extend(program_, instance_.get(), frontier_,
                                       pending_, options, &stats);

@@ -45,11 +45,11 @@
 #                               # focused pass for the columnar storage
 #                               # layer and the vectorized join executor:
 #                               # the storage unit tests plus the full
-#                               # row-vs-columnar differential matrix
-#                               # (columnar_test + columnar_diff_test,
-#                               # byte-identical reports across layouts,
-#                               # thread counts, and incremental
-#                               # reassessment) under ASan/UBSan, then a
+#                               # executor differential (columnar_test +
+#                               # executor_diff_test: BlockJoin against
+#                               # the backtracking evaluator, solution by
+#                               # solution, on every scenario family and
+#                               # update batch) under ASan/UBSan, then a
 #                               # reduced matrix (MDQA_SCENARIO_REDUCED=1)
 #                               # under TSan. --seed N pins the matrix
 #                               # cells (MDQA_SCENARIO_SEED)
@@ -209,10 +209,10 @@ if [[ $run_columnar -eq 1 ]]; then
     echo "== columnar matrix pinned to seed $scenario_seed =="
   fi
 
-  echo "== columnar storage + row-vs-columnar matrix (full) under ASan/UBSan =="
+  echo "== columnar storage + executor differential (full) under ASan/UBSan =="
   cmake -B build-san -S . -DMDQA_SANITIZE="address;undefined" >/dev/null
   cmake --build build-san -j "$jobs" \
-    --target columnar_test columnar_diff_test instance_test cq_eval_test
+    --target columnar_test executor_diff_test instance_test cq_eval_test
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-san/tests/columnar_test
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
@@ -220,14 +220,14 @@ if [[ $run_columnar -eq 1 ]]; then
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     ./build-san/tests/cq_eval_test
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
-    env "${seed_env[@]}" ./build-san/tests/columnar_diff_test
+    env "${seed_env[@]}" ./build-san/tests/executor_diff_test
 
-  echo "== row-vs-columnar matrix (reduced) under TSan =="
+  echo "== executor differential (reduced) under TSan =="
   cmake -B build-tsan -S . -DMDQA_SANITIZE="thread" >/dev/null
-  cmake --build build-tsan -j "$jobs" --target columnar_diff_test
+  cmake --build build-tsan -j "$jobs" --target executor_diff_test
   TSAN_OPTIONS=halt_on_error=1 \
     env MDQA_SCENARIO_REDUCED=1 "${seed_env[@]}" \
-    ./build-tsan/tests/columnar_diff_test
+    ./build-tsan/tests/executor_diff_test
 fi
 
 if [[ $run_durability -eq 1 ]]; then

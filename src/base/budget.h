@@ -58,9 +58,10 @@ class CancellationToken {
 ///   // the second relation assessed trips; all others proceed.
 ///
 /// Thread contract: one injector is routinely shared by every engine of a
-/// run — pool workers hitting probes concurrently (parallel assessor,
-/// sharded chase) and, in mdqa_serve, concurrent request handlers plus a
-/// chaos thread re-arming probes mid-traffic. `Arm`, `Hit`, `HitCount`,
+/// run — pool workers hitting probes concurrently (the per-relation
+/// assessor fan-out, UCQ disjunct evaluation) and, in mdqa_serve,
+/// concurrent request handlers plus a chaos thread re-arming probes
+/// mid-traffic. `Arm`, `Hit`, `HitCount`,
 /// and `Reset` are therefore all safe to call concurrently (one mutex;
 /// hit ordinals stay exact, never merely approximate — the deterministic
 /// trip-at-hit contract survives concurrency, though *which* worker

@@ -14,8 +14,8 @@
 namespace mdqa {
 
 /// A work-stealing thread pool shared by the parallel engines
-/// (`Chase::Run` trigger matching, `quality::Assessor` per-relation
-/// fan-out, `UcqRewriter` disjunct evaluation). One pool per process or
+/// (`quality::Assessor` per-relation fan-out, `UcqRewriter` disjunct
+/// evaluation). One pool per process or
 /// per request scope; engines take it as a non-owning pointer and a null
 /// pool always means "run inline on the calling thread".
 ///
@@ -27,8 +27,8 @@ namespace mdqa {
 ///
 /// Determinism: the pool itself guarantees nothing about execution
 /// order — callers that need deterministic results must merge worker
-/// output canonically (see docs/parallelism.md for how the chase, the
-/// assessor, and the rewriter each do this).
+/// output canonically (see docs/parallelism.md for how the assessor and
+/// the rewriter each do this).
 class ThreadPool {
  public:
   /// Spawns `threads` workers (clamped to at least 1).

@@ -38,11 +38,6 @@ class TriggerRows {
     }
   }
 
-  void Append(const TriggerRows& other) {
-    terms_.insert(terms_.end(), other.terms_.begin(), other.terms_.end());
-    rows_ += other.rows_;
-  }
-
   // Sorts the rows lexicographically (Term::operator< is total) and drops
   // duplicates; width-0 rows are all equal, so at most one survives.
   void SortUnique() {
@@ -127,96 +122,6 @@ struct RulePlan {
   std::set<std::vector<Term>> fired;
 };
 
-// An on_match callback that appends the frontier projection of each body
-// homomorphism to `*rows`.
-std::function<bool(const Subst&)> MakeCollector(
-    const std::vector<uint32_t>& frontier, TriggerRows* rows) {
-  return [&frontier, rows](const Subst& subst) {
-    rows->Append(subst, frontier);
-    return true;
-  };
-}
-
-// Collects the triggers of one enumeration pass (one delta pass or one
-// full pass) into `*out`.
-//
-// Serial path (`pool == nullptr`, pivot table missing, or fewer candidate
-// rows than `min_parallel_seeds`): a single Enumerate on `eval` — exactly
-// the legacy evaluation.
-//
-// Parallel path: the pivot atom's in-window rows are strided across
-// shards run on `pool`. Each shard grounds the pivot atom against its
-// rows (MatchAtom) and enumerates the *full* body under the same windows
-// with that ground seed, so every homomorphism it finds has the pivot
-// bound to exactly that row; the shard buffers, concatenated, therefore
-// hold the serial trigger set once sorted and de-duplicated. The instance
-// is read-only throughout and the budget's counters are atomic, so shards
-// share both safely. A counter trip can land on any shard — the first
-// non-OK status in shard order is returned, and the merged rows are then
-// a subset of the serial ones (sound: a truncated chase is an
-// under-approximation either way).
-Status CollectPassTriggers(const Instance& instance, const Rule& rule,
-                           const std::vector<uint32_t>& frontier,
-                           const std::vector<AtomLevelWindow>& windows,
-                           size_t pivot, const CqEvaluator& eval,
-                           ThreadPool* pool, uint64_t min_parallel_seeds,
-                           ExecutionBudget* budget, TriggerRows* out) {
-  auto serial = [&]() {
-    return eval.Enumerate(rule.body, rule.negated, rule.comparisons, Subst{},
-                          windows, MakeCollector(frontier, out));
-  };
-  if (pool == nullptr || rule.body.empty()) return serial();
-  const Atom& pivot_atom = rule.body[pivot];
-  const FactTable* table = instance.Table(pivot_atom.predicate);
-  if (table == nullptr) return serial();  // empty body relation: no matches
-
-  uint32_t min_level = 0;
-  uint32_t max_level = std::numeric_limits<uint32_t>::max();
-  if (!windows.empty()) {
-    min_level = windows[pivot].min_level;
-    max_level = windows[pivot].max_level;
-  }
-  std::vector<uint32_t> seeds;
-  seeds.reserve(table->size());
-  for (uint32_t r = 0; r < table->size(); ++r) {
-    const uint32_t lvl = table->Level(r);
-    if (lvl >= min_level && lvl <= max_level) seeds.push_back(r);
-  }
-  if (seeds.size() < std::max<uint64_t>(min_parallel_seeds, 1)) {
-    return serial();
-  }
-
-  // A few shards per worker so uneven seed costs still balance.
-  const size_t shards = std::min(seeds.size(), pool->size() * 4);
-  std::vector<TriggerRows> local(shards, TriggerRows(frontier.size()));
-  std::vector<Status> shard_status(shards, Status::Ok());
-  pool->ParallelFor(shards, [&](size_t s) {
-    CqEvaluator shard_eval(instance, nullptr, budget);
-    auto collect = MakeCollector(frontier, &local[s]);
-    Subst subst;
-    std::vector<uint32_t> trail;
-    for (size_t k = s; k < seeds.size(); k += shards) {
-      subst.clear();
-      trail.clear();
-      if (!MatchAtom(pivot_atom, table->Row(seeds[k]), &subst, &trail)) {
-        continue;  // pivot constants don't match this row
-      }
-      Status es = shard_eval.Enumerate(rule.body, rule.negated,
-                                       rule.comparisons, subst, windows,
-                                       collect);
-      if (!es.ok()) {
-        shard_status[s] = std::move(es);
-        return;
-      }
-    }
-  });
-  for (size_t s = 0; s < shards; ++s) {
-    MDQA_RETURN_IF_ERROR(shard_status[s]);
-  }
-  for (const TriggerRows& l : local) out->Append(l);
-  return Status::Ok();
-}
-
 // Union-find over terms for EGD application. Constants are always roots;
 // merging two constants is the caller's inconsistency case.
 class TermUnionFind {
@@ -250,7 +155,7 @@ class TermUnionFind {
 // Rewrites the whole instance through `uf`, keeping the minimum level of
 // merged duplicates. Only called when at least one merge happened.
 Instance Canonicalize(const Instance& in, TermUnionFind* uf) {
-  Instance out(in.vocab(), in.storage_mode());
+  Instance out(in.vocab());
   for (uint32_t pred : in.Predicates()) {
     const FactTable* table = in.Table(pred);
     const size_t arity = table->arity();
@@ -425,8 +330,8 @@ class ChaseLoop {
   // One round's TGD passes at `level`: for each rule in order, collect
   // its triggers, sort them, and apply them. With `gained_prev` set (the
   // predicates that gained a fact at level - 1), semi-naive passes skip
-  // rules and pivots it rules out; `gained`, when set, collects the
-  // predicates that gain a fact.
+  // the rules and delta atoms it rules out; `gained`, when set, collects
+  // the predicates that gain a fact.
   Status Round(const std::vector<RulePlan*>& plans, uint32_t level,
                bool full_pass,
                const std::unordered_set<uint32_t>* gained_prev,
@@ -473,42 +378,26 @@ Status ChaseLoop::Round(const std::vector<RulePlan*>& plans, uint32_t level,
     if (interrupted()) break;
     const Rule& rule = *plan->rule;
     // Delta-driven skip: no body predicate gained a fact at the previous
-    // level, so every pivot window below is empty.
+    // level, so every delta window below is empty.
     if (!full_pass && std::none_of(rule.body.begin(), rule.body.end(),
                                    touched)) {
       continue;
     }
     plan->Compile();
     CqEvaluator eval(*instance_, nullptr, budget_);
-
-    // Collect candidate triggers first (enumeration must not observe
-    // concurrent mutation). With a pool, each pass's matching is sharded
-    // across workers (the instance is immutable here); without one,
-    // CollectPassTriggers is exactly the legacy single-threaded Enumerate.
+    // Collect every trigger first: enumeration must not observe the
+    // facts this pass derives.
     TriggerRows triggers(plan->frontier.size());
+    auto collect = [plan, &triggers](const Subst& subst) {
+      triggers.Append(subst, plan->frontier);
+      return true;
+    };
     if (full_pass) {
-      // Partition on the body atom with the largest table: most seeds,
-      // so the cheapest residual join per seed.
-      size_t pivot = 0;
-      if (options_.pool != nullptr) {
-        uint32_t best = 0;
-        for (size_t j = 0; j < rule.body.size(); ++j) {
-          const FactTable* t = instance_->Table(rule.body[j].predicate);
-          const uint32_t sz = t != nullptr ? t->size() : 0;
-          if (sz > best) {
-            best = sz;
-            pivot = j;
-          }
-        }
-      }
-      MDQA_RETURN_IF_ERROR(Absorb(CollectPassTriggers(
-          *instance_, rule, plan->frontier, {}, pivot, eval, options_.pool,
-          options_.min_parallel_seeds, budget_, &triggers)));
+      MDQA_RETURN_IF_ERROR(Absorb(eval.Enumerate(
+          rule.body, rule.negated, rule.comparisons, Subst{}, {}, collect)));
     } else {
       // Semi-naive: one pass per delta atom d — atom d restricted to the
       // previous round's facts, atoms before d to strictly older ones.
-      // The delta atom is the natural partition pivot: its window is
-      // exactly the last round's new facts.
       const uint32_t prev = level - 1;
       for (size_t d = 0; d < rule.body.size() && !interrupted(); ++d) {
         if (!touched(rule.body[d])) continue;  // its window is empty
@@ -522,10 +411,9 @@ Status ChaseLoop::Round(const std::vector<RulePlan*>& plans, uint32_t level,
             windows[j].max_level = prev;
           }  // j > d: unrestricted (everything known so far)
         }
-        MDQA_RETURN_IF_ERROR(Absorb(CollectPassTriggers(
-            *instance_, rule, plan->frontier, windows, d, eval,
-            options_.pool, options_.min_parallel_seeds, budget_,
-            &triggers)));
+        MDQA_RETURN_IF_ERROR(Absorb(eval.Enumerate(rule.body, rule.negated,
+                                                   rule.comparisons, Subst{},
+                                                   windows, collect)));
       }
     }
     if (interrupted()) break;
@@ -533,8 +421,7 @@ Status ChaseLoop::Round(const std::vector<RulePlan*>& plans, uint32_t level,
     // Canonical apply order: sorted on frontier bindings. This makes the
     // firing order — and with it null numbering, restricted-chase skips,
     // and the final instance — a function of the trigger *set* alone,
-    // independent of enumeration order and thread count: the parallel
-    // chase is bit-identical to the serial one.
+    // independent of the order the passes enumerate it in.
     triggers.SortUnique();
     MDQA_RETURN_IF_ERROR(Apply(plan, triggers, level, gained));
   }
@@ -872,8 +759,7 @@ Status Chase::Extend(const Program& program, Instance* instance,
   }
   if (!fallback.empty()) {
     ChaseStats inner;
-    Instance rebuilt =
-        Instance::FromProgram(program, instance->storage_mode());
+    Instance rebuilt = Instance::FromProgram(program);
     for (const Atom& f : delta_facts) rebuilt.AddFact(f, /*level=*/0);
     MDQA_RETURN_IF_ERROR(Run(program, &rebuilt, options, &inner));
     inner.incremental = true;

@@ -59,20 +59,11 @@ struct ChaseOptions {
   /// `Run` overload returns OK with `ChaseStats::completeness ==
   /// kTruncated` and the partial (sound) instance in place. Not owned.
   ExecutionBudget* budget = nullptr;
-  /// When non-null, each round's trigger matching is partitioned across
-  /// the pool's workers (the instance is immutable during matching);
-  /// fired triggers are then merged and applied in canonical order on
-  /// the calling thread, so the resulting instance — fact set, levels,
-  /// null numbering, and ChaseStats counters — is bit-identical to a
-  /// serial run. See docs/parallelism.md. Counter-budget trips remain
-  /// deterministic; a deadline or cancellation can cut parallel matching
-  /// at a thread-dependent point (the partial result is still sound).
-  /// Not owned.
+  /// Not read by the chase: every pass collects its triggers serially
+  /// (see docs/parallelism.md). The field stays only because the
+  /// repository benchmark (perfbench/src/replica.cc) still assigns it; it
+  /// goes together with that assignment. Not owned.
   ThreadPool* pool = nullptr;
-  /// Minimum candidate (delta) rows in a pass before the pool is used;
-  /// smaller passes run inline to avoid scheduling overhead. Tests set
-  /// this to 1 to force the parallel path on tiny programs.
-  uint64_t min_parallel_seeds = 64;
   /// Declares the program's EGDs *separable* in the paper's §III sense
   /// (EGD and TGD application commute — the ontology layer's
   /// `OntologyProperties::separable_egds` verifies the sufficient
@@ -80,15 +71,6 @@ struct ChaseOptions {
   /// incrementally when this is set; otherwise it conservatively falls
   /// back to a full re-chase. `Run` ignores the flag.
   bool egds_separable = false;
-  /// Physical layout of fact tables built by chase entry points that
-  /// construct their own `Instance` (e.g. `qa::ChaseQa`, the assessor).
-  /// Columnar (the default) dictionary-encodes every position into
-  /// immutable shared segments plus an append-only overlay and unlocks
-  /// the vectorized block-join executor; `kRow` keeps the legacy row
-  /// store with per-position hash indexes. Results are byte-identical
-  /// either way (gated by tests/columnar_diff_test.cc); the flag exists
-  /// as an escape hatch and benchmark ablation.
-  StorageMode storage = StorageMode::kColumnar;
   /// Pre-computed position/dependency analysis of the program, used by
   /// `Chase::Extend` to *narrow* its conservative fallbacks: EGDs whose
   /// body predicates cannot be reached from the delta, or that provably

@@ -20,8 +20,8 @@ namespace mdqa::datalog {
 /// The encode map is keyed by a *lossy* term hash, so a probe can land in
 /// a bucket shared by several distinct terms; `CodeOf` therefore verifies
 /// every candidate code against the dictionary term before trusting it —
-/// a colliding 64-bit key must never alias two terms (the row-store dedup
-/// table has the same discipline). Tests force total collision through
+/// a colliding 64-bit key must never alias two terms (the fact table's
+/// dedup index has the same discipline). Tests force total collision through
 /// `set_hash_mask_for_test` to keep the verification load-bearing.
 class Column {
  public:

@@ -201,18 +201,17 @@ Status CqEvaluator::Enumerate(
   if (!windows.empty() && windows.size() != atoms.size()) {
     return Status::InvalidArgument("level-window count must match atom count");
   }
-  if (instance_.storage_mode() == StorageMode::kColumnar && initial.empty()) {
-    // Vectorized block executor over the columnar segments. Its
+  if (initial.empty()) {
+    // Vectorized block executor over the column segments. Its
     // enumeration order, stats and budget pacing reproduce the
     // backtracking path exactly (see datalog/join.h); the up-front
     // budget poll below still runs first. Dispatch is a pure cost
     // heuristic — both executors produce the same bytes — and only
-    // whole-relation enumerations (empty initial bindings: trigger
-    // collection passes, query answering) amortize the executor's
+    // whole-relation enumerations (empty initial bindings: the chase's
+    // trigger collection, query answering) amortize the executor's
     // plan-compilation setup; seeded point lookups (the chase's head
-    // check for existential heads, the chase's search for a provenance
-    // witness, parallel shard seeds) stay on the low-setup backtracking
-    // path.
+    // check for existential heads, its search for a provenance witness)
+    // stay on the low-setup backtracking path.
     // Existential-free heads never get here: the chase probes their
     // instantiated rows in the fact tables directly.
     if (budget_ != nullptr) {

@@ -5,16 +5,6 @@
 
 namespace mdqa::datalog {
 
-const char* StorageModeToString(StorageMode mode) {
-  switch (mode) {
-    case StorageMode::kRow:
-      return "row";
-    case StorageMode::kColumnar:
-      return "columnar";
-  }
-  return "unknown";
-}
-
 size_t FactTable::HashRow(const Term* row) const {
   size_t seed = arity_;
   for (size_t i = 0; i < arity_; ++i) {
@@ -79,32 +69,13 @@ bool FactTable::Insert(const Term* row, uint32_t level) {
   } else {
     dedup_[slot] = idx;
   }
-  if (mode_ == StorageMode::kRow) {
-    for (size_t pos = 0; pos < arity_; ++pos) {
-      auto& bucket = index_[pos][TermHash{}(row[pos]) & hash_mask_];
-      std::vector<uint32_t>* rows = nullptr;
-      for (auto& [term, term_rows] : bucket) {
-        if (term == row[pos]) {
-          rows = &term_rows;
-          break;
-        }
-      }
-      if (rows == nullptr) {
-        bucket.emplace_back(row[pos], std::vector<uint32_t>());
-        rows = &bucket.back().second;
-        ++distinct_[pos];
-      }
-      rows->push_back(idx);
-    }
-  } else {
-    fresh_scratch_.assign(arity_, 0);
-    overlay_.Append(row, fresh_scratch_.data());
-    for (size_t pos = 0; pos < arity_; ++pos) {
-      // New to the table iff new to the overlay dictionary and absent
-      // from every sealed dictionary (checked only on overlay misses).
-      if (fresh_scratch_[pos] != 0 && !InSealedDict(pos, row[pos])) {
-        ++distinct_[pos];
-      }
+  fresh_scratch_.assign(arity_, 0);
+  overlay_.Append(row, fresh_scratch_.data());
+  for (size_t pos = 0; pos < arity_; ++pos) {
+    // New to the table iff new to the overlay dictionary and absent from
+    // every sealed dictionary (checked only on overlay misses).
+    if (fresh_scratch_[pos] != 0 && !InSealedDict(pos, row[pos])) {
+      ++distinct_[pos];
     }
   }
   return true;
@@ -112,9 +83,9 @@ bool FactTable::Insert(const Term* row, uint32_t level) {
 
 std::vector<uint32_t> FactTable::Probe(size_t pos, Term t) const {
   if (const std::vector<uint32_t>* rows = ProbeRef(pos, t)) return *rows;
-  // Columnar multi-segment gather: per-segment postings are ascending and
-  // segment row ranges are disjoint in base order, so concatenation with
-  // the base offset is globally ascending without a merge.
+  // Multi-segment gather: per-segment postings are ascending and segment
+  // row ranges are disjoint in base order, so concatenation with the base
+  // offset is globally ascending without a merge.
   std::vector<uint32_t> out;
   for (size_t k = 0; k < NumSegments(); ++k) {
     const SegmentView view = SegmentAt(k);
@@ -129,19 +100,8 @@ std::vector<uint32_t> FactTable::Probe(size_t pos, Term t) const {
 
 const std::vector<uint32_t>* FactTable::ProbeRef(size_t pos, Term t) const {
   static const std::vector<uint32_t> kEmpty;
-  if (mode_ == StorageMode::kRow) {
-    const auto& m = index_[pos];
-    auto it = m.find(TermHash{}(t) & hash_mask_);
-    if (it == m.end()) return &kEmpty;
-    // Verified probe: only the bucket entry whose term equals `t` counts
-    // (hash collisions share a bucket).
-    for (const auto& [term, rows] : it->second) {
-      if (term == t) return &rows;
-    }
-    return &kEmpty;
-  }
-  // Columnar: the postings of a single segment based at row 0 are the
-  // global row list verbatim; anything else needs an offset gather.
+  // The postings of a single segment based at row 0 are the global row
+  // list verbatim; anything else needs an offset gather.
   const std::vector<uint32_t>* single = nullptr;
   for (size_t k = 0; k < NumSegments(); ++k) {
     const SegmentView view = SegmentAt(k);
@@ -154,10 +114,6 @@ const std::vector<uint32_t>* FactTable::ProbeRef(size_t pos, Term t) const {
 }
 
 size_t FactTable::ProbeCount(size_t pos, Term t) const {
-  if (mode_ == StorageMode::kRow) {
-    const std::vector<uint32_t>* rows = ProbeRef(pos, t);
-    return rows == nullptr ? 0 : rows->size();
-  }
   size_t n = 0;
   for (size_t k = 0; k < NumSegments(); ++k) {
     const SegmentView view = SegmentAt(k);
@@ -170,7 +126,7 @@ size_t FactTable::ProbeCount(size_t pos, Term t) const {
 }
 
 void FactTable::SealOverlay() {
-  if (mode_ != StorageMode::kColumnar || overlay_.rows() == 0) return;
+  if (overlay_.rows() == 0) return;
   sealed_base_.push_back(overlay_base_);
   overlay_base_ += overlay_.rows();
   sealed_.push_back(std::make_shared<const Segment>(std::move(overlay_)));
@@ -187,29 +143,13 @@ uint64_t FactTable::MemoryEstimateBytes() const {
   uint64_t bytes = data_.capacity() * sizeof(Term) +
                    levels_.capacity() * sizeof(uint32_t);
   bytes += dedup_.capacity() * sizeof(uint32_t);
-  // Hash maps: count buckets plus the per-entry row vectors. This is an
-  // estimate for budget accounting, not an allocator-exact figure.
-  for (const auto& m : index_) {
-    bytes += m.bucket_count() *
-             (sizeof(uint64_t) +
-              sizeof(std::vector<std::pair<Term, std::vector<uint32_t>>>));
-    for (const auto& [_, bucket] : m) {
-      bytes += bucket.capacity() * sizeof(std::pair<Term, std::vector<uint32_t>>);
-      for (const auto& [term, rows] : bucket) {
-        (void)term;
-        bytes += rows.capacity() * sizeof(uint32_t);
-      }
-    }
-  }
-  if (mode_ == StorageMode::kColumnar) {
-    for (const auto& seg : sealed_) bytes += seg->MemoryEstimateBytes();
-    bytes += overlay_.MemoryEstimateBytes();
-  }
+  for (const auto& seg : sealed_) bytes += seg->MemoryEstimateBytes();
+  bytes += overlay_.MemoryEstimateBytes();
   return bytes;
 }
 
-Instance Instance::FromProgram(const Program& program, StorageMode storage) {
-  Instance inst(program.vocab(), storage);
+Instance Instance::FromProgram(const Program& program) {
+  Instance inst(program.vocab());
   for (const Atom& f : program.facts()) {
     inst.AddFact(f, /*level=*/0);
   }
@@ -219,8 +159,7 @@ Instance Instance::FromProgram(const Program& program, StorageMode storage) {
 FactTable* Instance::EnsureOwnedTable(uint32_t pred, size_t arity) {
   auto it = tables_.find(pred);
   if (it == tables_.end()) {
-    it = tables_.emplace(pred, std::make_shared<FactTable>(arity, storage_))
-             .first;
+    it = tables_.emplace(pred, std::make_shared<FactTable>(arity)).first;
   } else if (it->second.use_count() > 1) {
     // Copy-on-write: the table is shared with a snapshot; clone before
     // the first mutation so the snapshot keeps its frozen view.
@@ -254,11 +193,11 @@ void Instance::Freeze() {
   // not count as a mutation of the fact set, but it must not write into
   // a table shared with a snapshot either — cloning would defeat the
   // point, so shared tables are frozen in place (the watermark is
-  // monotone and both views agree on the rows it covers). Columnar
-  // tables that are NOT shared additionally seal their overlay into the
-  // immutable segment chain, so later copy-on-write clones share the
-  // frozen base's dictionaries and postings; a shared table's chain must
-  // stay untouched — a concurrent snapshot reader may be probing it.
+  // monotone and both views agree on the rows it covers). Tables that
+  // are NOT shared additionally seal their overlay into the immutable
+  // segment chain, so later copy-on-write clones share the frozen base's
+  // dictionaries and postings; a shared table's chain must stay
+  // untouched — a concurrent snapshot reader may be probing it.
   for (auto& [_, table] : tables_) {
     table->MarkFrozen();
     if (table.use_count() == 1) table->SealOverlay();

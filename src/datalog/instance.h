@@ -15,24 +15,12 @@
 
 namespace mdqa::datalog {
 
-/// Physical layout of a FactTable's probe structures. Both modes keep the
-/// flattened term rows and per-row levels (the `Row()` pointer contract);
-/// they differ in how equality probes are indexed.
-enum class StorageMode : uint8_t {
-  /// Legacy flat row store: per-position hash indexes from term to rows.
-  kRow = 0,
-  /// Dictionary-encoded column segments (see Segment): per-position code
-  /// columns with postings, organized as immutable shared sealed segments
-  /// plus one mutable overlay. The vectorized join executor
-  /// (datalog/join.h) probes these block-at-a-time. Default.
-  kColumnar = 1,
-};
-
-const char* StorageModeToString(StorageMode mode);
-
 /// Deduplicated ground-fact storage for one predicate: flattened term
 /// rows with an open-addressing dedup index over row ids, plus
-/// per-position probe structures in one of two layouts (StorageMode).
+/// dictionary-encoded column segments (see Segment) that serve the
+/// per-position probes: immutable shared sealed segments plus one mutable
+/// overlay. The vectorized join executor (datalog/join.h) probes these
+/// block-at-a-time.
 /// Each row carries a derivation level: 0 for extensional facts, and
 /// 1 + max(body levels) for chase-derived facts — the level-bounded
 /// chase used for weakly-sticky query answering keys off this.
@@ -42,30 +30,25 @@ const char* StorageModeToString(StorageMode mode);
 /// appended since). Insertion is append-only, so freezing is purely a
 /// watermark — it never copies. Snapshots share whole tables through
 /// `Instance`'s copy-on-write handles; the watermark records where the
-/// shared base ends when an update path appends. In columnar mode the
-/// sealed segments of the chain are additionally shared *between* cloned
-/// tables (immutable `shared_ptr<const Segment>`), so a copy-on-write
-/// clone re-copies only the rows and levels, the dedup index (one flat
-/// array of row ids) and the mutable overlay — the dictionary/postings
-/// structures of the frozen base are never duplicated.
+/// shared base ends when an update path appends. The sealed segments of
+/// the chain are additionally shared *between* cloned tables (immutable
+/// `shared_ptr<const Segment>`), so a copy-on-write clone re-copies only
+/// the rows and levels, the dedup index (one flat array of row ids) and
+/// the mutable overlay — the dictionary/postings structures of the
+/// frozen base are never duplicated.
 ///
-/// Every hash-keyed probe structure here (the dedup index, the row-mode
-/// per-position indexes, the columnar dictionaries) verifies candidates
-/// by full row/term equality before trusting them: a colliding 64-bit
-/// key must never alias two rows. `set_hash_mask_for_test` forces total
-/// collision so tests keep that verification load-bearing.
+/// Every hash-keyed probe structure here (the dedup index and the column
+/// dictionaries) verifies candidates by full row/term equality before
+/// trusting them: a colliding 64-bit key must never alias two rows.
+/// `set_hash_mask_for_test` forces total collision so tests keep that
+/// verification load-bearing.
 class FactTable {
  public:
-  explicit FactTable(size_t arity, StorageMode mode = StorageMode::kColumnar)
-      : arity_(arity),
-        mode_(mode),
-        index_(mode == StorageMode::kRow ? arity : 0),
-        distinct_(arity, 0),
-        overlay_(arity) {}
+  explicit FactTable(size_t arity)
+      : arity_(arity), distinct_(arity, 0), overlay_(arity) {}
 
   size_t arity() const { return arity_; }
   size_t size() const { return levels_.size(); }
-  StorageMode storage_mode() const { return mode_; }
 
   /// Inserts a ground row. Returns true if the row was new. If the row
   /// already exists its level is lowered to `level` when smaller.
@@ -84,15 +67,13 @@ class FactTable {
   uint32_t frozen_rows() const { return frozen_rows_; }
 
   /// Row indexes whose position `pos` holds exactly term `t`, ascending.
-  /// Materializes a fresh vector in columnar mode (rows gathered across
-  /// segments); hot paths should prefer `ProbeRef`/`ProbeCount`.
+  /// Materializes a fresh vector (rows gathered across segments); hot
+  /// paths should prefer `ProbeRef`/`ProbeCount`.
   std::vector<uint32_t> Probe(size_t pos, Term t) const;
 
   /// Zero-copy variant: a pointer to the (verified) row list when the
-  /// layout holds one contiguously — row mode always, columnar mode only
-  /// when the term lives entirely in a single segment's postings with no
-  /// offset (i.e. the first segment). nullptr means "materialize via
-  /// Probe".
+  /// term lives entirely in a single segment's postings with no offset
+  /// (i.e. the first segment). nullptr means "materialize via Probe".
   const std::vector<uint32_t>* ProbeRef(size_t pos, Term t) const;
 
   /// Number of rows `Probe(pos, t)` would return, without materializing.
@@ -105,12 +86,9 @@ class FactTable {
     return pos < distinct_.size() ? distinct_[pos] : 0;
   }
 
-  /// Columnar segment chain, for the vectorized join executor: sealed
-  /// segments in base order, then the mutable overlay (always last, may
-  /// be empty). Zero segments in row mode.
-  size_t NumSegments() const {
-    return mode_ == StorageMode::kColumnar ? sealed_.size() + 1 : 0;
-  }
+  /// Segment chain, for the vectorized join executor: sealed segments in
+  /// base order, then the mutable overlay (always last, may be empty).
+  size_t NumSegments() const { return sealed_.size() + 1; }
   struct SegmentView {
     const Segment* segment;
     uint32_t base;  ///< global row index of the segment's first row
@@ -121,23 +99,22 @@ class FactTable {
                : SegmentView{&overlay_, overlay_base_};
   }
 
-  /// Seals the mutable overlay into the shared segment chain (columnar
-  /// mode; no-op when the overlay is empty or the mode is kRow). Called
-  /// by `Instance::Freeze` on unshared tables only: sealed segments are
-  /// immutable and may be read concurrently by snapshot holders, so a
-  /// shared table must never restructure its chain.
+  /// Seals the mutable overlay into the shared segment chain (no-op when
+  /// the overlay is empty). Called by `Instance::Freeze` on unshared
+  /// tables only: sealed segments are immutable and may be read
+  /// concurrently by snapshot holders, so a shared table must never
+  /// restructure its chain.
   void SealOverlay();
 
   /// Capacity-based estimate of heap bytes held by this table (rows,
-  /// levels, dedup index, and the per-position probe structures of the
-  /// active layout). Feeds the execution budget's memory high-water
-  /// accounting. Sealed segments shared with a cloned table still count
-  /// in full here (the estimate is per-view).
+  /// levels, dedup index, and the column segments). Feeds the execution
+  /// budget's memory high-water accounting. Sealed segments shared with a
+  /// cloned table still count in full here (the estimate is per-view).
   uint64_t MemoryEstimateBytes() const;
 
-  /// Test-only: masks every hash key (dedup rows, row-mode index terms,
-  /// columnar dictionary terms) so distinct keys collide; mask 0 forces
-  /// every key into one bucket. Call on an empty table.
+  /// Test-only: masks every hash key (dedup rows and column dictionary
+  /// terms) so distinct keys collide; mask 0 forces every key into one
+  /// bucket. Call on an empty table.
   void set_hash_mask_for_test(uint64_t mask);
 
  private:
@@ -156,22 +133,15 @@ class FactTable {
   bool InSealedDict(size_t pos, Term t) const;
 
   size_t arity_;
-  StorageMode mode_;
-  std::vector<Term> data_;        // flattened rows (both modes)
+  std::vector<Term> data_;        // flattened rows
   std::vector<uint32_t> levels_;  // per-row derivation level
   // Dedup index: row ids by open addressing — power-of-two capacity,
   // load <= 1/2, linear probing.
   std::vector<uint32_t> dedup_;
   int dedup_shift_ = 64;  // 64 - log2(dedup_.size())
-  // Row mode: per-position hash indexes, term-hash -> verified (term,
-  // rows) buckets.
-  std::vector<
-      std::unordered_map<uint64_t,
-                         std::vector<std::pair<Term, std::vector<uint32_t>>>>>
-      index_;
-  std::vector<size_t> distinct_;  // per-position distinct terms (both modes)
-  // Columnar mode: sealed immutable segments (shared across CoW clones)
-  // then the private mutable overlay.
+  std::vector<size_t> distinct_;  // per-position distinct terms
+  // Sealed immutable segments (shared across CoW clones), then the
+  // private mutable overlay.
   std::vector<std::shared_ptr<const Segment>> sealed_;
   std::vector<uint32_t> sealed_base_;  // global base row of sealed_[k]
   Segment overlay_;
@@ -215,20 +185,13 @@ struct InstanceStatistics {
 /// has since been touched.
 class Instance {
  public:
-  explicit Instance(std::shared_ptr<Vocabulary> vocab,
-                    StorageMode storage = StorageMode::kColumnar)
-      : vocab_(std::move(vocab)), storage_(storage) {}
+  explicit Instance(std::shared_ptr<Vocabulary> vocab)
+      : vocab_(std::move(vocab)) {}
 
   /// An instance holding exactly `program`'s extensional facts (level 0).
-  static Instance FromProgram(const Program& program,
-                              StorageMode storage = StorageMode::kColumnar);
+  static Instance FromProgram(const Program& program);
 
   const std::shared_ptr<Vocabulary>& vocab() const { return vocab_; }
-
-  /// Physical layout of this instance's tables, fixed at construction.
-  /// Copies (snapshots) inherit it; rebuilds (EGD canonicalization, the
-  /// incremental-extension fallback) must construct with the same mode.
-  StorageMode storage_mode() const { return storage_; }
 
   /// Adds a ground fact at `level`; returns true if new.
   bool AddFact(const Atom& fact, uint32_t level);
@@ -264,12 +227,12 @@ class Instance {
   uint64_t generation() const { return generation_; }
 
   /// Marks every table's current rows as the frozen base segment (see
-  /// FactTable::MarkFrozen). Purely a watermark; no copying. In columnar
-  /// mode, tables not shared with any snapshot additionally seal their
-  /// mutable overlay into the immutable segment chain, so future
-  /// copy-on-write clones share the frozen base's probe structures
-  /// (shared tables are left untouched — concurrent snapshot readers may
-  /// be probing their segments).
+  /// FactTable::MarkFrozen). Purely a watermark; no copying. Tables not
+  /// shared with any snapshot additionally seal their mutable overlay
+  /// into the immutable segment chain, so future copy-on-write clones
+  /// share the frozen base's probe structures (shared tables are left
+  /// untouched — concurrent snapshot readers may be probing their
+  /// segments).
   void Freeze();
 
   /// Raises the generation counter to at least `floor + 1`. Used when an
@@ -291,9 +254,9 @@ class Instance {
   /// All facts of `pred` as atoms, in row order — i.e. first-insertion
   /// order, which EGD canonicalization rebuilds and level updates never
   /// permute. This order is part of the contract (asserted by
-  /// instance_test): the differential parallel-vs-serial harness and the
-  /// first-derived ordering of CqEvaluator::Answers both key off row
-  /// order being a deterministic function of the insertion sequence.
+  /// instance_test): the differential harnesses and the first-derived
+  /// ordering of CqEvaluator::Answers both key off row order being a
+  /// deterministic function of the insertion sequence.
   std::vector<Atom> Facts(uint32_t pred) const;
 
   /// Loads every row of `rel` as facts of predicate `rel.name()`.
@@ -327,7 +290,6 @@ class Instance {
   FactTable* EnsureOwnedTable(uint32_t pred, size_t arity);
 
   std::shared_ptr<Vocabulary> vocab_;
-  StorageMode storage_;
   std::unordered_map<uint32_t, std::shared_ptr<FactTable>> tables_;
   uint64_t generation_ = 0;
 };

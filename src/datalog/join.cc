@@ -99,8 +99,8 @@ void BuildPlan(const Instance& instance, const std::vector<Atom>& atoms,
                const Subst& initial, Plan* plan,
                std::vector<Term>* initial_slots) {
   // Var counts per query are tiny, so a linear-scanned flat vector beats
-  // a hash map for the var->slot directory (this runs once per shard
-  // seed during chase matching — setup cost is on the hot path).
+  // a hash map for the var->slot directory (this runs once per chase
+  // pass — setup cost is on the hot path).
   std::vector<std::pair<uint32_t, uint32_t>> slot_of;  // (var id, slot)
   std::vector<size_t> slot_depth;  // kDepthInitial / atom depth / kDepthNever
   std::vector<Term> prefill;       // slot -> initial value (when kDepthInitial)
@@ -125,7 +125,7 @@ void BuildPlan(const Instance& instance, const std::vector<Atom>& atoms,
     (void)value;
     uint32_t slot = slot_for(var);
     slot_depth[slot] = kDepthInitial;
-    prefill[slot] = Resolve(initial, Term::Variable(var));  // ground (Supports)
+    prefill[slot] = Resolve(initial, Term::Variable(var));  // ground (Run)
   }
 
   const size_t n = atoms.size();
@@ -497,8 +497,7 @@ struct Executor {
       const Term* slots = in.data.data() + bi * plan.num_slots;
 
       if (nbound == 0) {
-        // Full scan, ascending global rows (the flat row array serves
-        // both modes).
+        // Full scan over the flat row array, ascending global rows.
         if (stats != nullptr) ++stats->full_scans;
         for (uint32_t r = 0; r < table->size(); ++r) {
           if (stop || !error.ok()) return;
@@ -616,14 +615,6 @@ struct Executor {
 };
 
 }  // namespace
-
-bool BlockJoin::Supports(const Subst& initial) {
-  for (const auto& [var, value] : initial) {
-    (void)value;
-    if (!Resolve(initial, Term::Variable(var)).IsGround()) return false;
-  }
-  return true;
-}
 
 Status BlockJoin::Run(const std::vector<Atom>& atoms,
                       const std::vector<Atom>& negated,

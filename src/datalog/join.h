@@ -12,13 +12,12 @@
 
 namespace mdqa::datalog {
 
-/// Vectorized (block-at-a-time) conjunctive-body join executor over
-/// columnar fact tables — the engine behind `CqEvaluator` for
-/// whole-relation enumerations (empty initial bindings) when the
-/// instance uses `StorageMode::kColumnar`. Seeded point lookups stay on
-/// the backtracking path: their per-run work cannot amortize the plan
-/// compilation this executor performs up front (see the dispatch note
-/// in cq_eval.cc).
+/// Vectorized (block-at-a-time) conjunctive-body join executor over the
+/// fact tables' column segments — the engine behind `CqEvaluator` for
+/// whole-relation enumerations (empty initial bindings). Seeded point
+/// lookups stay on the backtracking path: their per-run work cannot
+/// amortize the plan compilation this executor performs up front (see
+/// the dispatch note in cq_eval.cc).
 ///
 /// The executor compiles the body once — atom order, per-position roles
 /// (constant / bound slot / new slot / intra-atom repeat), and the depth
@@ -37,26 +36,24 @@ namespace mdqa::datalog {
 /// its greedy atom choice never depends on candidate values, and its
 /// candidate lists are always ascending row order. The executor fixes the
 /// same atom order up front and emits candidates ascending per binding
-/// (depth-first chunk flushes preserve lexicographic order), so
-/// solutions, `EvalStats` counters, budget charging on the postings
-/// path, and therefore every downstream artifact (Answers first-derived
-/// order, EGD merge order, AssessmentReports) are identical to the row
-/// store's. The row-vs-columnar differential harness
-/// (tests/columnar_diff_test.cc) gates this byte-for-byte.
+/// (depth-first chunk flushes preserve lexicographic order), so the
+/// solutions, and therefore every downstream artifact (Answers
+/// first-derived order, EGD merge order, AssessmentReports), are
+/// identical to the backtracking evaluator's. So are the `EvalStats`
+/// counters, except that the batch hash probe examines only the rows of
+/// its bound key's bucket: there `rows_tried` (and step charging) can be
+/// lower than the backtracking path's, which walks every row of its most
+/// selective bound position. The executor differential harness
+/// (tests/executor_diff_test.cc) gates this solution by solution.
 class BlockJoin {
  public:
   BlockJoin(const Instance& instance, EvalStats* stats,
             ExecutionBudget* budget)
       : instance_(instance), stats_(stats), budget_(budget) {}
 
-  /// True when the executor reproduces the legacy enumeration for the
-  /// given initial substitution: every binding must resolve to a ground
-  /// term (variable-to-variable chains from two-way unification fall
-  /// back to the backtracking path).
-  static bool Supports(const Subst& initial);
-
   /// Same contract as CqEvaluator::Enumerate (which validates `windows`
   /// and performs the up-front budget poll before dispatching here).
+  /// Every binding of `initial` must resolve to a ground term.
   Status Run(const std::vector<Atom>& atoms, const std::vector<Atom>& negated,
              const std::vector<Comparison>& comparisons, const Subst& initial,
              const std::vector<AtomLevelWindow>& windows,

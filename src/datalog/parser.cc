@@ -1,6 +1,8 @@
 #include "datalog/parser.h"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -274,10 +276,12 @@ class ParserImpl {
 
   /// Builds a syntax-error status pointing at the current token, and
   /// records its location in the report.
-  Status Fail(const std::string& what) {
-    Record(ParseReport::ErrorKind::kSyntax, Cur().span);
-    return Status::InvalidArgument(what + " (" + Cur().span.ToString() +
-                                   ", near '" + Cur().text + "')");
+  Status Fail(const std::string& what) { return FailAt(Cur(), what); }
+
+  Status FailAt(const Token& t, const std::string& what) {
+    Record(ParseReport::ErrorKind::kSyntax, t.span);
+    return Status::InvalidArgument(what + " (" + t.span.ToString() +
+                                   ", near '" + t.text + "')");
   }
 
   Status Expect(TokKind kind, const std::string& what) {
@@ -313,8 +317,18 @@ class ParserImpl {
             }
           }
           if (digits) {
-            uint32_t id =
-                static_cast<uint32_t>(std::stoul(t.text.substr(2)));
+            // The id must leave room above it for the FreshNull() ids
+            // that ReserveNullsThrough sets aside.
+            constexpr uint32_t kMaxId =
+                std::numeric_limits<uint32_t>::max() - 1;
+            uint32_t id = 0;
+            const char* end = t.text.data() + t.text.size();
+            const std::from_chars_result r =
+                std::from_chars(t.text.data() + 2, end, id);
+            if (r.ec != std::errc() || id > kMaxId) {
+              return FailAt(t, "labeled null id out of range (at most " +
+                                   std::to_string(kMaxId) + ")");
+            }
             vocab_->ReserveNullsThrough(id);
             return Term::Null(id);
           }

@@ -1,6 +1,7 @@
 #ifndef MDQA_DATALOG_PROGRAM_H_
 #define MDQA_DATALOG_PROGRAM_H_
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -84,10 +85,13 @@ class Vocabulary {
   uint32_t NumNulls() const { return next_null_; }
 
   /// Ensures future FreshNull() ids exceed `id` — used when parsing the
-  /// `_n<k>` null literals of a serialized instance.
+  /// `_n<k>` null literals of a serialized instance. Saturates instead of
+  /// wrapping: no id exceeds UINT32_MAX, so reserving it leaves the
+  /// counter there (the parser rejects that spelling).
   void ReserveNullsThrough(uint32_t id) {
     AssertOwnerThread();
-    if (next_null_ <= id) next_null_ = id + 1;
+    constexpr uint32_t kMax = std::numeric_limits<uint32_t>::max();
+    if (next_null_ <= id) next_null_ = id == kMax ? kMax : id + 1;
   }
 
   /// Re-binds the debug owner-thread check to the calling thread: the

@@ -13,7 +13,7 @@ using datalog::Term;
 
 Result<ChaseQa> ChaseQa::Create(const Program& program,
                                 const ChaseOptions& options) {
-  Instance instance = Instance::FromProgram(program, options.storage);
+  Instance instance = Instance::FromProgram(program);
   MDQA_ASSIGN_OR_RETURN(ChaseStats stats,
                         Chase::Run(program, &instance, options));
   return ChaseQa(program, options, std::move(instance), stats);
@@ -95,7 +95,7 @@ Result<ChaseStats> ChaseQa::Update(const std::vector<datalog::Atom>& inserts,
   for (const datalog::Atom& f : inserts) {
     MDQA_RETURN_IF_ERROR(next.AddFact(f));
   }
-  Instance instance = Instance::FromProgram(next, options_.storage);
+  Instance instance = Instance::FromProgram(next);
   ChaseStats stats;
   MDQA_RETURN_IF_ERROR(Chase::Run(next, &instance, options_, &stats));
   stats.incremental = true;

@@ -200,7 +200,6 @@ Result<AnswerSet> Answer(Engine engine, const Program& program,
       datalog::ChaseOptions options;
       options.check_constraints = false;
       options.budget = aopts.budget;
-      options.pool = aopts.pool;
       MDQA_ASSIGN_OR_RETURN(ChaseQa qa, ChaseQa::Create(program, options));
       Status interruption;
       MDQA_ASSIGN_OR_RETURN(std::vector<std::vector<Term>> tuples,

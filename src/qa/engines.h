@@ -74,11 +74,11 @@ struct AnswerOptions {
   /// evaluation). A budget trip yields a *partial but sound* AnswerSet
   /// tagged `kTruncated` instead of an error. Not owned.
   ExecutionBudget* budget = nullptr;
-  /// When non-null, the chosen engine parallelizes its read-only phases
-  /// on this pool: chase trigger matching (`ChaseOptions::pool`) and UCQ
-  /// disjunct evaluation (`RewriteOptions::pool`). Answer sets are
-  /// canonical, so results are identical with or without a pool (see
-  /// docs/parallelism.md). Not owned.
+  /// When non-null, the rewriting engine evaluates its UCQ disjuncts
+  /// concurrently on this pool (`RewriteOptions::pool`); the chase and WS
+  /// engines run serially. Answer sets are canonical, so results are
+  /// identical with or without a pool (see docs/parallelism.md). Not
+  /// owned.
   ThreadPool* pool = nullptr;
 };
 

@@ -28,6 +28,73 @@ int RelationIndex(const std::vector<QualityMeasures>& per_relation,
   return -1;
 }
 
+// The quality predicates of the assessed relations that define one.
+std::vector<std::string> QualityPredicates(const QualityContext& context) {
+  std::vector<std::string> preds;
+  for (const std::string& rel : context.AssessedRelations()) {
+    Result<std::string> q = context.QualityPredicateOf(rel);
+    if (q.ok()) preds.push_back(*q);
+  }
+  return preds;
+}
+
+// The pre-run gate Assess and Reassess share, over the compiled
+// `program`: records the planner's engine recommendation (costed on
+// `edb_stats`) and the engine the run uses — `engine`, or the
+// recommendation under `auto_engine` — then runs the lint gate and the
+// form-(1) referential check. kFailedPrecondition when error-level lint
+// findings refuse the run.
+Status RunGate(const QualityContext& context, const datalog::Program& program,
+               const datalog::ProgramAnalysis& analysis,
+               datalog::InstanceStatistics edb_stats, qa::Engine engine,
+               bool auto_engine, const AssessOptions& opts,
+               AssessmentReport* report) {
+  report->program_class = analysis.ClassName();
+  MDQA_ASSIGN_OR_RETURN(core::OntologyProperties properties,
+                        context.ontology().Analyze());
+  qa::EngineSelectOptions select_options;
+  select_options.egds_separable = properties.separable_egds;
+  const analysis::CostModel cost_model(program, analysis,
+                                       std::move(edb_stats));
+  select_options.cost_model = &cost_model;
+  qa::EngineSelection selection =
+      qa::SelectEngine(program, analysis, select_options);
+  report->engine_recommended = selection.engine;
+  report->engine_reason = std::move(selection.reason);
+  report->engine_used = auto_engine ? report->engine_recommended : engine;
+  for (const qa::EngineCandidate& c : selection.candidates) {
+    if (c.engine == report->engine_used) {
+      report->predicted_cost = c.predicted_cost;
+    }
+  }
+
+  if (opts.lint_gate) {
+    analysis::DiagnosticBag bag;
+    analysis::LintOptions lint_options;
+    lint_options.min_severity = analysis::Severity::kWarning;
+    lint_options.form_notes = false;
+    lint_options.file = "<context>";
+    lint_options.analysis = &analysis;
+    lint_options.goal_predicates = QualityPredicates(context);
+    analysis::LintProgram(program, lint_options, &bag);
+    analysis::LintOntology(context.ontology(), lint_options, &bag);
+    bag.Sort();
+    report->lint_errors = bag.errors();
+    report->lint_warnings = bag.warnings();
+    report->lint_text = bag.ToText();
+    if (bag.errors() > 0 && !opts.lint_warn_only) {
+      return Status::FailedPrecondition(
+          "lint gate: " + std::to_string(bag.errors()) +
+          " error-level finding(s) in the contextual program/ontology "
+          "(set lint_warn_only to proceed anyway):\n" +
+          bag.ToText());
+    }
+  }
+
+  report->referential_check = context.ontology().ValidateReferential();
+  return Status::Ok();
+}
+
 }  // namespace
 
 const Relation* AssessmentReport::QualityVersionOf(
@@ -155,57 +222,10 @@ Result<AssessmentReport> Assessor::Assess(const AssessOptions& opts) const {
   MDQA_ASSIGN_OR_RETURN(datalog::Program program, context_->BuildProgram());
   auto program_analysis =
       std::make_shared<const datalog::ProgramAnalysis>(program);
-  std::vector<std::string> quality_preds;
-  for (const std::string& rel : context_->AssessedRelations()) {
-    Result<std::string> q = context_->QualityPredicateOf(rel);
-    if (q.ok()) quality_preds.push_back(*q);
-  }
-  qa::Engine engine = opts.engine;
-  {
-    report.program_class = program_analysis->ClassName();
-    MDQA_ASSIGN_OR_RETURN(core::OntologyProperties properties,
-                          context_->ontology().Analyze());
-    qa::EngineSelectOptions select_options;
-    select_options.egds_separable = properties.separable_egds;
-    const analysis::CostModel cost_model(
-        program, *program_analysis,
-        analysis::CostModel::CollectEdbStats(program));
-    select_options.cost_model = &cost_model;
-    qa::EngineSelection selection =
-        qa::SelectEngine(program, *program_analysis, select_options);
-    report.engine_recommended = selection.engine;
-    report.engine_reason = std::move(selection.reason);
-    if (opts.auto_engine) engine = report.engine_recommended;
-    report.engine_used = engine;
-    for (const qa::EngineCandidate& c : selection.candidates) {
-      if (c.engine == engine) report.predicted_cost = c.predicted_cost;
-    }
-
-    if (opts.lint_gate) {
-      analysis::DiagnosticBag bag;
-      analysis::LintOptions lint_options;
-      lint_options.min_severity = analysis::Severity::kWarning;
-      lint_options.form_notes = false;
-      lint_options.file = "<context>";
-      lint_options.analysis = program_analysis.get();
-      lint_options.goal_predicates = quality_preds;
-      analysis::LintProgram(program, lint_options, &bag);
-      analysis::LintOntology(context_->ontology(), lint_options, &bag);
-      bag.Sort();
-      report.lint_errors = bag.errors();
-      report.lint_warnings = bag.warnings();
-      report.lint_text = bag.ToText();
-      if (bag.errors() > 0 && !opts.lint_warn_only) {
-        return Status::FailedPrecondition(
-            "lint gate: " + std::to_string(bag.errors()) +
-            " error-level finding(s) in the contextual program/ontology "
-            "(set lint_warn_only to proceed anyway):\n" +
-            bag.ToText());
-      }
-    }
-  }
-
-  report.referential_check = context_->ontology().ValidateReferential();
+  MDQA_RETURN_IF_ERROR(RunGate(*context_, program, *program_analysis,
+                               analysis::CostModel::CollectEdbStats(program),
+                               opts.engine, opts.auto_engine, opts, &report));
+  const qa::Engine engine = report.engine_used;
 
   auto note_truncated = [&report](const Status& why) {
     report.completeness = Completeness::kTruncated;
@@ -219,8 +239,6 @@ Result<AssessmentReport> Assessor::Assess(const AssessOptions& opts) const {
   // instance the per-relation read-offs below still work against.
   datalog::ChaseOptions chase_options;
   chase_options.budget = opts.budget;
-  chase_options.pool = opts.pool;
-  chase_options.storage = opts.storage;
   // Optional answer-preserving prune: TGDs that provably cannot reach a
   // quality predicate, EGD, constraint, or output predicate are dropped
   // from the *chased* program only — the gate above classified and
@@ -231,7 +249,7 @@ Result<AssessmentReport> Assessor::Assess(const AssessOptions& opts) const {
   if (opts.prune_dead_rules) {
     std::unordered_set<uint32_t> goals;
     const datalog::Vocabulary* vocab = chase_program.vocab().get();
-    for (const std::string& q : quality_preds) {
+    for (const std::string& q : QualityPredicates(*context_)) {
       const uint32_t pred = vocab->FindPredicate(q);
       if (pred != StringPool::kNotFound) goals.insert(pred);
     }
@@ -404,57 +422,9 @@ Result<AssessmentReport> Assessor::Reassess(const PreparedContext& session,
   // The incremental path always reads the session's materialized
   // instance, so the engine used is the chase regardless of
   // `auto_engine` (the recommendation is still recorded).
-  std::vector<std::string> quality_preds;
-  for (const std::string& rel : context_->AssessedRelations()) {
-    Result<std::string> q = context_->QualityPredicateOf(rel);
-    if (q.ok()) quality_preds.push_back(*q);
-  }
-  {
-    const datalog::ProgramAnalysis& program_analysis = session.analysis();
-    report.program_class = program_analysis.ClassName();
-    MDQA_ASSIGN_OR_RETURN(core::OntologyProperties properties,
-                          context_->ontology().Analyze());
-    qa::EngineSelectOptions select_options;
-    select_options.egds_separable = properties.separable_egds;
-    const analysis::CostModel cost_model(program, program_analysis,
-                                         session.EdbStatistics());
-    select_options.cost_model = &cost_model;
-    qa::EngineSelection selection =
-        qa::SelectEngine(program, program_analysis, select_options);
-    report.engine_recommended = selection.engine;
-    report.engine_reason = std::move(selection.reason);
-    report.engine_used = qa::Engine::kChase;
-    for (const qa::EngineCandidate& c : selection.candidates) {
-      if (c.engine == report.engine_used) {
-        report.predicted_cost = c.predicted_cost;
-      }
-    }
-
-    if (opts.lint_gate) {
-      analysis::DiagnosticBag bag;
-      analysis::LintOptions lint_options;
-      lint_options.min_severity = analysis::Severity::kWarning;
-      lint_options.form_notes = false;
-      lint_options.file = "<context>";
-      lint_options.analysis = &program_analysis;
-      lint_options.goal_predicates = quality_preds;
-      analysis::LintProgram(program, lint_options, &bag);
-      analysis::LintOntology(context_->ontology(), lint_options, &bag);
-      bag.Sort();
-      report.lint_errors = bag.errors();
-      report.lint_warnings = bag.warnings();
-      report.lint_text = bag.ToText();
-      if (bag.errors() > 0 && !opts.lint_warn_only) {
-        return Status::FailedPrecondition(
-            "lint gate: " + std::to_string(bag.errors()) +
-            " error-level finding(s) in the contextual program/ontology "
-            "(set lint_warn_only to proceed anyway):\n" +
-            bag.ToText());
-      }
-    }
-  }
-
-  report.referential_check = context_->ontology().ValidateReferential();
+  MDQA_RETURN_IF_ERROR(RunGate(*context_, program, session.analysis(),
+                               session.EdbStatistics(), qa::Engine::kChase,
+                               /*auto_engine=*/false, opts, &report));
   // The session exists, so its (re-)chase passed the constraint check.
   report.constraint_check = Status::Ok();
   report.actual_cost = session.statistics().total_facts;

@@ -134,24 +134,16 @@ struct AssessOptions {
   /// `actual_cost`) shrinks. The pre-run gate still classifies and lints
   /// the *unpruned* program. Off by default.
   bool prune_dead_rules = false;
-  /// When non-null: the materialization chase parallelizes its trigger
-  /// matching on this pool, and — on the prepared kChase path — the
-  /// per-relation quality versions are computed concurrently, each under
+  /// When non-null, on the prepared kChase path, the per-relation
+  /// quality versions are computed concurrently on this pool, each under
   /// its own derived budget, and merged into the report in relation
-  /// order. Reports are byte-identical to a serial run as long as no
+  /// order. The materialization chase itself runs serially. Reports are byte-identical to a serial run as long as no
   /// deadline, cancellation, or fault probe trips (per-relation *counter*
   /// caps are private to each relation, so their kTruncated outcomes are
   /// deterministic at any thread count). After a cancellation a parallel
   /// run may still report relations a serial run would have skipped —
   /// work already finished is kept. Not owned.
   ThreadPool* pool = nullptr;
-  /// Physical fact-table layout for the materialization chase and every
-  /// per-relation evaluation. Columnar (the default) enables the
-  /// vectorized block-join executor; `kRow` is the legacy row store,
-  /// kept as an escape hatch and as the reference side of the
-  /// row-vs-columnar differential harness. Reports are byte-identical
-  /// under either mode.
-  datalog::StorageMode storage = datalog::StorageMode::kColumnar;
 };
 
 /// Drives the Fig. 2 pipeline end to end: validates the ontology, runs

@@ -1,7 +1,9 @@
 #include "relational/value.h"
 
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 
 #include "base/string_util.h"
@@ -21,16 +23,22 @@ const char* ValueTypeToString(ValueType t) {
 }
 
 Value Value::FromText(std::string_view text) {
+  // A numeral whose value does not fit int64_t or double is not a number:
+  // like every other non-numeric field, it stays the string of its text.
   if (IsInteger(text)) {
     // std::from_chars does not accept a leading '+'.
     std::string_view digits =
         text.front() == '+' ? text.substr(1) : text;
     int64_t v = 0;
-    std::from_chars(digits.data(), digits.data() + digits.size(), v);
-    return Int(v);
+    const std::from_chars_result r =
+        std::from_chars(digits.data(), digits.data() + digits.size(), v);
+    return r.ec == std::errc() ? Int(v) : Str(text);
   }
   if (IsDouble(text)) {
-    return Real(std::stod(std::string(text)));
+    const std::string buf(text);
+    errno = 0;
+    const double v = std::strtod(buf.c_str(), nullptr);
+    return errno == ERANGE ? Str(text) : Real(v);  // overflow or underflow
   }
   return Str(text);
 }

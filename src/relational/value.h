@@ -37,7 +37,8 @@ class Value {
   static Value Str(std::string_view v) { return Value(Rep(std::string(v))); }
 
   /// Parses `text` into the most specific type: integer, then double,
-  /// then string.
+  /// then string. A numeral out of int64_t/double range (strtod reports
+  /// overflow or underflow) is kept as the string of its exact text.
   static Value FromText(std::string_view text);
 
   ValueType type() const { return static_cast<ValueType>(rep_.index()); }

@@ -51,12 +51,8 @@ Status CaptureTables(const datalog::Instance& instance,
     timg.predicate = vocab->PredicateName(pred);
     timg.arity = static_cast<uint32_t>(table->arity());
     timg.frozen_rows = table->frozen_rows();
-    if (table->storage_mode() == datalog::StorageMode::kColumnar) {
-      for (size_t k = 0; k < table->NumSegments(); ++k) {
-        timg.segment_rows.push_back(table->SegmentAt(k).segment->rows());
-      }
-    } else {
-      timg.segment_rows.push_back(static_cast<uint32_t>(table->size()));
+    for (size_t k = 0; k < table->NumSegments(); ++k) {
+      timg.segment_rows.push_back(table->SegmentAt(k).segment->rows());
     }
     uint32_t rows = static_cast<uint32_t>(table->size());
     timg.terms.reserve(static_cast<size_t>(rows) * timg.arity);
@@ -187,11 +183,11 @@ Result<Database> DatabaseFromImage(const KbImage& image) {
 }
 
 quality::MaterializationRebuilder ImageRebuilder(
-    std::shared_ptr<const KbImage> image, datalog::StorageMode storage) {
-  return [image, storage](datalog::Program& program)
+    std::shared_ptr<const KbImage> image) {
+  return [image](datalog::Program& program)
              -> Result<quality::RestoredMaterialization> {
     const auto& vocab = program.vocab();
-    datalog::Instance instance(vocab, storage);
+    datalog::Instance instance(vocab);
 
     // Re-intern the dictionary once; image rows then resolve by index.
     std::vector<datalog::Term> term_of_value;

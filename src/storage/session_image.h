@@ -49,8 +49,7 @@ Result<Database> DatabaseFromImage(const KbImage& image);
 /// Facts() byte-identity contract), then frozen. The regenerated frontier
 /// is valid, so subsequent ApplyUpdate batches resume incrementally.
 quality::MaterializationRebuilder ImageRebuilder(
-    std::shared_ptr<const KbImage> image,
-    datalog::StorageMode storage = datalog::StorageMode::kColumnar);
+    std::shared_ptr<const KbImage> image);
 
 }  // namespace mdqa::storage
 

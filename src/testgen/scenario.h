@@ -49,7 +49,7 @@ enum class ScenarioFamily {
   kMultiDimensional,
   /// Zipf-skewed fact distribution: a hot ward holds most entities and
   /// a hot entity produces most measurements — the adversarial shape
-  /// for per-relation fan-out and trigger sharding.
+  /// for per-relation fan-out and for the join executors' probes.
   kSkewedTenants,
 };
 

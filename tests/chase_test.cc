@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "base/thread_pool.h"
 #include "datalog/parser.h"
 
 namespace mdqa::datalog {
@@ -357,22 +356,15 @@ TEST(Chase, ProbedHeadWithRepeatedVariableAndConstant) {
 
 TEST(Chase, EmptyFrontierFiresAtMostOnce) {
   // The frontier is empty, so every body match projects onto the same
-  // width-0 trigger row: one firing, serial or sharded across a pool.
-  const char* text = "P(\"a\"). P(\"b\"). P(\"d\").\nQ(\"c\") :- P(X).\n";
-  ThreadPool pool(2);
-  ChaseOptions pooled;
-  pooled.pool = &pool;
-  pooled.min_parallel_seeds = 1;
-  for (const ChaseOptions& options : {ChaseOptions(), pooled}) {
-    auto run = RunChase(text, options);
-    ASSERT_TRUE(run.stats.ok()) << run.stats.status();
-    EXPECT_EQ(run.stats->tgd_firings, 1u);
-    EXPECT_EQ(run.stats->facts_added, 1u);
-    EXPECT_EQ(Count(run, "Q"), 1u);
-    Vocabulary* vocab = run.program.mutable_vocab();
-    EXPECT_TRUE(run.instance.Contains(
-        Atom(vocab->FindPredicate("Q"), {vocab->Str("c")})));
-  }
+  // width-0 trigger row: one firing.
+  auto run = RunChase("P(\"a\"). P(\"b\"). P(\"d\").\nQ(\"c\") :- P(X).\n");
+  ASSERT_TRUE(run.stats.ok()) << run.stats.status();
+  EXPECT_EQ(run.stats->tgd_firings, 1u);
+  EXPECT_EQ(run.stats->facts_added, 1u);
+  EXPECT_EQ(Count(run, "Q"), 1u);
+  Vocabulary* vocab = run.program.mutable_vocab();
+  EXPECT_TRUE(run.instance.Contains(
+      Atom(vocab->FindPredicate("Q"), {vocab->Str("c")})));
   auto present = RunChase("P(\"a\"). Q(\"c\").\nQ(\"c\") :- P(X).\n");
   ASSERT_TRUE(present.stats.ok()) << present.stats.status();
   EXPECT_EQ(present.stats->tgd_firings, 0u);

@@ -5,9 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "datalog/chase.h"
 #include "datalog/column.h"
-#include "datalog/cq_eval.h"
 #include "datalog/instance.h"
 #include "datalog/parser.h"
 #include "datalog/segment.h"
@@ -92,11 +90,11 @@ TEST(Segment, AppendsRowsColumnWise) {
 
 TEST(FactTableColumnar, DefaultModeIsColumnar) {
   FactTable t(2);
-  EXPECT_EQ(t.storage_mode(), StorageMode::kColumnar);
   EXPECT_EQ(t.NumSegments(), 1u);  // just the mutable overlay
-  FactTable r(2, StorageMode::kRow);
-  EXPECT_EQ(r.storage_mode(), StorageMode::kRow);
-  EXPECT_EQ(r.NumSegments(), 0u);
+  EXPECT_EQ(t.SegmentAt(0).segment->rows(), 0u);
+  Term r[2] = {Term::Constant(1), Term::Constant(2)};
+  EXPECT_TRUE(t.Insert(r, 0));
+  EXPECT_EQ(t.SegmentAt(0).segment->rows(), 1u);  // rows land in columns
 }
 
 TEST(FactTableColumnar, DuplicateInsertLowersLevel) {
@@ -111,65 +109,67 @@ TEST(FactTableColumnar, DuplicateInsertLowersLevel) {
 }
 
 TEST(FactTableColumnar, ArityZeroTable) {
-  for (StorageMode mode : {StorageMode::kRow, StorageMode::kColumnar}) {
-    FactTable t(0, mode);
-    Term* row = nullptr;
-    EXPECT_TRUE(t.Insert(row, 0));
-    EXPECT_FALSE(t.Insert(row, 1));  // the single empty row is a duplicate
-    EXPECT_EQ(t.size(), 1u);
-    EXPECT_TRUE(t.Contains(row));
-    EXPECT_EQ(t.DistinctAt(0), 0u);  // no positions
-    EXPECT_GE(t.MemoryEstimateBytes(), 0u);
-  }
+  FactTable t(0);
+  Term* row = nullptr;
+  EXPECT_TRUE(t.Insert(row, 0));
+  EXPECT_FALSE(t.Insert(row, 1));  // the single empty row is a duplicate
+  EXPECT_EQ(t.size(), 1u);
+  EXPECT_TRUE(t.Contains(row));
+  EXPECT_EQ(t.DistinctAt(0), 0u);  // no positions
+  EXPECT_GE(t.MemoryEstimateBytes(), 0u);
 }
 
+// The column probes against a scan of the flattened rows.
 TEST(FactTableColumnar, ProbeAndDistinctMatchRowMode) {
-  FactTable col(2, StorageMode::kColumnar);
-  FactTable row(2, StorageMode::kRow);
+  FactTable t(2);
   for (int i = 0; i < 50; ++i) {
     Term r[2] = {Term::Constant(i % 5), Term::Constant(i)};
-    EXPECT_EQ(col.Insert(r, 0), row.Insert(r, 0));
+    EXPECT_TRUE(t.Insert(r, 0));
   }
   for (size_t p = 0; p < 2; ++p) {
-    EXPECT_EQ(col.DistinctAt(p), row.DistinctAt(p));
+    std::vector<Term> seen;
     for (int v = 0; v < 50; ++v) {
-      Term t = Term::Constant(v);
-      EXPECT_EQ(col.Probe(p, t), row.Probe(p, t));
-      EXPECT_EQ(col.ProbeCount(p, t), row.ProbeCount(p, t));
+      Term term = Term::Constant(v);
+      std::vector<uint32_t> scanned;
+      for (uint32_t r = 0; r < t.size(); ++r) {
+        if (t.Row(r)[p] == term) scanned.push_back(r);
+      }
+      if (!scanned.empty()) seen.push_back(term);
+      EXPECT_EQ(t.Probe(p, term), scanned);
+      EXPECT_EQ(t.ProbeCount(p, term), scanned.size());
     }
+    EXPECT_EQ(t.DistinctAt(p), seen.size());
   }
-  // Row mode always exposes a zero-copy list; single-segment columnar too.
-  EXPECT_NE(row.ProbeRef(0, Term::Constant(1)), nullptr);
-  EXPECT_NE(col.ProbeRef(0, Term::Constant(1)), nullptr);
+  // A single-segment table exposes a zero-copy list.
+  EXPECT_NE(t.ProbeRef(0, Term::Constant(1)), nullptr);
   // An absent term yields an empty (but non-null) reference.
-  ASSERT_NE(row.ProbeRef(0, Term::Constant(777)), nullptr);
-  EXPECT_TRUE(row.ProbeRef(0, Term::Constant(777))->empty());
+  ASSERT_NE(t.ProbeRef(0, Term::Constant(777)), nullptr);
+  EXPECT_TRUE(t.ProbeRef(0, Term::Constant(777))->empty());
 }
 
 // Satellite regression: force total collision in every hash-keyed probe
-// structure of BOTH layouts; exact-match behavior must be unchanged.
+// structure (dedup index and column dictionaries); exact-match behavior
+// must be unchanged.
 TEST(FactTableColumnar, TotalHashCollisionKeepsExactSemantics) {
-  for (StorageMode mode : {StorageMode::kRow, StorageMode::kColumnar}) {
-    FactTable t(2, mode);
-    t.set_hash_mask_for_test(0);
-    for (int i = 0; i < 32; ++i) {
-      Term r[2] = {Term::Constant(i), Term::Constant(i % 3)};
-      EXPECT_TRUE(t.Insert(r, 0)) << StorageModeToString(mode);
-      EXPECT_FALSE(t.Insert(r, 0));  // duplicate despite colliding hash
-    }
-    EXPECT_EQ(t.size(), 32u);
-    EXPECT_EQ(t.DistinctAt(0), 32u);
-    EXPECT_EQ(t.DistinctAt(1), 3u);
-    for (int i = 0; i < 32; ++i) {
-      Term r[2] = {Term::Constant(i), Term::Constant(i % 3)};
-      EXPECT_TRUE(t.Contains(r));
-      EXPECT_EQ(t.ProbeCount(0, Term::Constant(i)), 1u);
-    }
-    Term absent[2] = {Term::Constant(99), Term::Constant(0)};
-    EXPECT_FALSE(t.Contains(absent));
-    EXPECT_TRUE(t.Probe(0, Term::Constant(99)).empty());
-    EXPECT_EQ(t.ProbeCount(1, Term::Constant(0)), 11u);
+  FactTable t(2);
+  t.set_hash_mask_for_test(0);
+  for (int i = 0; i < 32; ++i) {
+    Term r[2] = {Term::Constant(i), Term::Constant(i % 3)};
+    EXPECT_TRUE(t.Insert(r, 0));
+    EXPECT_FALSE(t.Insert(r, 0));  // duplicate despite colliding hash
   }
+  EXPECT_EQ(t.size(), 32u);
+  EXPECT_EQ(t.DistinctAt(0), 32u);
+  EXPECT_EQ(t.DistinctAt(1), 3u);
+  for (int i = 0; i < 32; ++i) {
+    Term r[2] = {Term::Constant(i), Term::Constant(i % 3)};
+    EXPECT_TRUE(t.Contains(r));
+    EXPECT_EQ(t.ProbeCount(0, Term::Constant(i)), 1u);
+  }
+  Term absent[2] = {Term::Constant(99), Term::Constant(0)};
+  EXPECT_FALSE(t.Contains(absent));
+  EXPECT_TRUE(t.Probe(0, Term::Constant(99)).empty());
+  EXPECT_EQ(t.ProbeCount(1, Term::Constant(0)), 11u);
 }
 
 // -------------------------------------------------- sealing & segments
@@ -240,7 +240,6 @@ TEST(InstanceColumnar, FreezeSealsUnsharedTables) {
   auto p = Parser::ParseProgram("P(\"a\"). P(\"b\"). Q(\"a\", \"b\").");
   ASSERT_TRUE(p.ok());
   Instance inst = Instance::FromProgram(*p);
-  EXPECT_EQ(inst.storage_mode(), StorageMode::kColumnar);
   uint32_t pred = p->vocab()->FindPredicate("P");
   EXPECT_EQ(inst.Table(pred)->NumSegments(), 1u);
   inst.Freeze();
@@ -272,167 +271,20 @@ TEST(InstanceColumnar, FreezeLeavesSharedTablesUnsealed) {
   EXPECT_EQ(inst.CountFacts(pred), 3u);
 }
 
+// The estimate covers both the flattened rows and the column segments,
+// including segments sealed by a freeze.
 TEST(InstanceColumnar, MemoryEstimateCoversBothLayouts) {
-  auto p = Parser::ParseProgram("P(\"a\"). P(\"b\"). Q(\"a\", \"b\").");
-  ASSERT_TRUE(p.ok());
-  Instance col = Instance::FromProgram(*p, StorageMode::kColumnar);
-  Instance row = Instance::FromProgram(*p, StorageMode::kRow);
-  EXPECT_GT(col.MemoryEstimateBytes(), 0u);
-  EXPECT_GT(row.MemoryEstimateBytes(), 0u);
-}
-
-// ----------------------------------------- row vs columnar equivalence
-
-constexpr char kProgram[] = R"(
-  Edge("a", "b"). Edge("b", "c"). Edge("c", "d"). Edge("a", "c").
-  Label("a", "x"). Label("b", "y"). Label("c", "x"). Label("d", "y").
-  Path(u, v) :- Edge(u, v).
-  Path(u, w) :- Path(u, v), Edge(v, w).
-  Same(u, v) :- Label(u, l), Label(v, l).
-)";
-
-TEST(RowColumnarEquivalence, ChaseAndAnswersAgree) {
-  auto p = Parser::ParseProgram(kProgram);
-  ASSERT_TRUE(p.ok());
-  Instance col = Instance::FromProgram(*p, StorageMode::kColumnar);
-  Instance row = Instance::FromProgram(*p, StorageMode::kRow);
-  ChaseOptions options;
-  ASSERT_TRUE(Chase::Run(*p, &col, options).ok());
-  ASSERT_TRUE(Chase::Run(*p, &row, options).ok());
-  ASSERT_EQ(col.TotalFacts(), row.TotalFacts());
-  // Row order (= derivation order) must match fact by fact, not just as
-  // sets: downstream first-derived ordering keys off it.
-  for (uint32_t pred : col.Predicates()) {
-    std::vector<Atom> cf = col.Facts(pred);
-    std::vector<Atom> rf = row.Facts(pred);
-    ASSERT_EQ(cf.size(), rf.size());
-    for (size_t i = 0; i < cf.size(); ++i) EXPECT_EQ(cf[i], rf[i]);
-    const FactTable* ct = col.Table(pred);
-    const FactTable* rt = row.Table(pred);
-    for (uint32_t i = 0; i < ct->size(); ++i) {
-      EXPECT_EQ(ct->Level(i), rt->Level(i));
-    }
-  }
-
-  // CQ evaluation: answers, their order, and the EvalStats counters must
-  // coincide (the vectorized executor reproduces the backtracking path).
-  auto q = Parser::ParseQuery("Ans(u, v) :- Path(u, v), Same(u, v).",
-                              p->mutable_vocab());
-  ASSERT_TRUE(q.ok());
-  EvalStats col_stats, row_stats;
-  CqEvaluator col_eval(col, &col_stats, nullptr);
-  CqEvaluator row_eval(row, &row_stats, nullptr);
-  auto col_ans = col_eval.Answers(*q);
-  auto row_ans = row_eval.Answers(*q);
-  ASSERT_TRUE(col_ans.ok());
-  ASSERT_TRUE(row_ans.ok());
-  ASSERT_EQ(col_ans->size(), row_ans->size());
-  for (size_t i = 0; i < col_ans->size(); ++i) {
-    EXPECT_EQ((*col_ans)[i], (*row_ans)[i]);
-  }
-  EXPECT_EQ(col_stats.solutions, row_stats.solutions);
-  EXPECT_EQ(col_stats.rows_tried, row_stats.rows_tried);
-  EXPECT_EQ(col_stats.atoms_matched, row_stats.atoms_matched);
-  EXPECT_EQ(col_stats.index_probes, row_stats.index_probes);
-  EXPECT_EQ(col_stats.full_scans, row_stats.full_scans);
-}
-
-TEST(RowColumnarEquivalence, NegationAndComparisonsAgree) {
-  auto p = Parser::ParseProgram(kProgram);
-  ASSERT_TRUE(p.ok());
-  Instance col = Instance::FromProgram(*p, StorageMode::kColumnar);
-  Instance row = Instance::FromProgram(*p, StorageMode::kRow);
-  ChaseOptions options;
-  ASSERT_TRUE(Chase::Run(*p, &col, options).ok());
-  ASSERT_TRUE(Chase::Run(*p, &row, options).ok());
-  auto q = Parser::ParseQuery(
-      "Ans(u, v) :- Path(u, v), not Edge(u, v), u != v.",
-      p->mutable_vocab());
-  ASSERT_TRUE(q.ok());
-  CqEvaluator col_eval(col, nullptr, nullptr);
-  CqEvaluator row_eval(row, nullptr, nullptr);
-  auto col_ans = col_eval.Answers(*q);
-  auto row_ans = row_eval.Answers(*q);
-  ASSERT_TRUE(col_ans.ok());
-  ASSERT_TRUE(row_ans.ok());
-  ASSERT_EQ(col_ans->size(), row_ans->size());
-  for (size_t i = 0; i < col_ans->size(); ++i) {
-    EXPECT_EQ((*col_ans)[i], (*row_ans)[i]);
-  }
-}
-
-// The columnar chase after a Freeze probes across a sealed chain; results
-// must still match a never-frozen run exactly.
-TEST(RowColumnarEquivalence, ChaseOverSealedBaseAgrees) {
-  auto p = Parser::ParseProgram(kProgram);
-  ASSERT_TRUE(p.ok());
-  Instance sealed = Instance::FromProgram(*p, StorageMode::kColumnar);
-  sealed.Freeze();  // EDB becomes a sealed segment; chase appends overlay
-  Instance plain = Instance::FromProgram(*p, StorageMode::kColumnar);
-  ChaseOptions options;
-  ASSERT_TRUE(Chase::Run(*p, &sealed, options).ok());
-  ASSERT_TRUE(Chase::Run(*p, &plain, options).ok());
-  ASSERT_EQ(sealed.TotalFacts(), plain.TotalFacts());
-  for (uint32_t pred : plain.Predicates()) {
-    std::vector<Atom> a = sealed.Facts(pred);
-    std::vector<Atom> b = plain.Facts(pred);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  }
-}
-
-// Regression: the block executor's batch-hash probe must survive a chunk
-// flush in the middle of a bucket. The shape below forces the middle atom
-// onto the hash path (low-distinct bound position, incoming chunk of 8)
-// with buckets wider than one output chunk, so the recursive flush into
-// the third atom runs — and historically clobbered the shared scratch
-// buffer the bucket verification read from, silently dropping the rest of
-// the bucket (2 facts per chase pass in the wild).
-TEST(RowColumnarEquivalence, HashProbeSurvivesMidBucketFlush) {
-  std::string text;
-  for (int i = 0; i < 10; ++i) {
-    text += "R(\"x" + std::to_string(i) + "\", \"" +
-            (i % 2 == 0 ? std::string("a") : std::string("b")) + "\").\n";
-  }
-  for (const char* y : {"a", "b"}) {
-    for (int k = 0; k < 10; ++k) {
-      text += "S(\"" + std::string(y) + "\", \"z" + std::to_string(k) +
-              "\").\n";
-    }
-  }
-  for (int k = 0; k < 10; ++k) {
-    for (int j = 0; j < 3; ++j) {
-      text += "T(\"z" + std::to_string(k) + "\", \"w" + std::to_string(k) +
-              "_" + std::to_string(j) + "\").\n";
-    }
-  }
-  auto p = Parser::ParseProgram(text);
-  ASSERT_TRUE(p.ok());
-  auto q = Parser::ParseQuery("Ans(X, Y, Z, W) :- R(X, Y), S(Y, Z), T(Z, W).",
-                              p->mutable_vocab());
-  ASSERT_TRUE(q.ok());
-
-  std::vector<std::vector<std::pair<uint32_t, Term>>> per_mode[2];
-  for (StorageMode mode : {StorageMode::kRow, StorageMode::kColumnar}) {
-    Instance instance = Instance::FromProgram(*p, mode);
-    CqEvaluator eval(instance);
-    auto& solutions = per_mode[mode == StorageMode::kColumnar ? 1 : 0];
-    auto collect = [&](const Subst& s) {
-      std::vector<std::pair<uint32_t, Term>> tuple(s.begin(), s.end());
-      std::sort(tuple.begin(), tuple.end());
-      solutions.push_back(std::move(tuple));
-      return true;
-    };
-    ASSERT_TRUE(
-        eval.Enumerate(q->body, q->negated, q->comparisons, {}, {}, collect)
-            .ok());
-  }
-  // Every R row joins 10 S rows on y, each of which joins 3 T rows on z.
-  ASSERT_EQ(per_mode[0].size(), 300u);
-  ASSERT_EQ(per_mode[1].size(), per_mode[0].size());
-  for (size_t i = 0; i < per_mode[0].size(); ++i) {
-    EXPECT_EQ(per_mode[1][i], per_mode[0][i]);
-  }
+  FactTable t(2);
+  const uint64_t empty = t.MemoryEstimateBytes();
+  Term r[2] = {Term::Constant(1), Term::Constant(2)};
+  t.Insert(r, 0);
+  const uint64_t one_row = t.MemoryEstimateBytes();
+  EXPECT_GE(one_row,
+            2 * sizeof(Term) + t.SegmentAt(0).segment->MemoryEstimateBytes());
+  EXPECT_GT(one_row, empty);
+  t.SealOverlay();
+  EXPECT_GE(t.MemoryEstimateBytes(),
+            t.SegmentAt(0).segment->MemoryEstimateBytes() + 2 * sizeof(Term));
 }
 
 }  // namespace

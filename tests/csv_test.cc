@@ -23,6 +23,17 @@ TEST(Csv, HeaderAndTypedFields) {
                              Value::Str("Tom Waits"), Value::Int(37)}));
 }
 
+// Type inference keeps a numeral that does not fit int64_t/double as the
+// string of its text instead of reading 0 or throwing.
+TEST(Csv, OutOfRangeNumeralsStayText) {
+  auto rel = ParseCsv("Id,Reading\n99999999999999999999,1e999\n7,2.5\n", "R");
+  ASSERT_TRUE(rel.ok()) << rel.status();
+  ASSERT_EQ(rel->size(), 2u);
+  EXPECT_TRUE(rel->Contains(
+      {Value::Str("99999999999999999999"), Value::Str("1e999")}));
+  EXPECT_TRUE(rel->Contains({Value::Int(7), Value::Real(2.5)}));
+}
+
 TEST(Csv, NoHeaderGeneratesAttributeNames) {
   CsvOptions options;
   options.has_header = false;

@@ -4,8 +4,8 @@
 // `Assessor::Reassess`) must produce results *byte-identical* to tearing
 // everything down and re-chasing the extended extensional set from
 // scratch — same instance render, same certain answers, same assessment
-// reports (ToString AND ToJson), serially and on a thread pool at 1 and
-// 4 workers. Null-creating programs compare via the canonical null
+// reports (ToString AND ToJson), serially and with a thread pool at 1
+// and 4 workers. Null-creating programs compare via the canonical null
 // renaming (`Instance::ToCanonicalString`), since the incremental and
 // the from-scratch runs mint their nulls in different orders.
 //
@@ -71,18 +71,15 @@ std::vector<std::string> RenderAnswers(const ChaseQa& engine,
 }
 
 // One engine extended batch by batch against a from-scratch rebuild per
-// batch. `pool_threads == 0` runs serially; otherwise the incremental
-// side chases on a pool with the sharded-matching threshold forced down,
-// while the from-scratch side stays serial — so the comparison also
-// covers parallel-vs-serial.
+// batch. `pool_threads > 0` hands the incremental side's ChaseOptions a
+// pool of that size while the from-scratch side has none. The chase no
+// longer reads `ChaseOptions::pool`; these cells pin that the field stays
+// inert until it is deleted.
 void ExpectExtendMatchesRebuild(uint32_t seed, size_t pool_threads) {
   const UpdateSequence s = testgen::GenerateUpdateSequence(seed);
   ThreadPool pool(pool_threads == 0 ? 1 : pool_threads);
   ChaseOptions options;
-  if (pool_threads > 0) {
-    options.pool = &pool;
-    options.min_parallel_seeds = 1;
-  }
+  if (pool_threads > 0) options.pool = &pool;
   auto program = Parser::ParseProgram(s.base.program_text);
   ASSERT_TRUE(program.ok()) << program.status() << "\n" << s.base.program_text;
   auto inc = ChaseQa::Create(*program, options);

@@ -330,61 +330,50 @@ TEST(Vocabulary, FreshNullsAreSequential) {
   EXPECT_EQ(vocab.TermToString(n0), "_n0");
 }
 
-TEST(FactTable, RowModeFlagKeepsLegacyLayout) {
-  FactTable t(2, StorageMode::kRow);
-  EXPECT_EQ(t.storage_mode(), StorageMode::kRow);
-  Term r[2] = {Term::Constant(1), Term::Constant(2)};
-  EXPECT_TRUE(t.Insert(r, 0));
-  EXPECT_EQ(t.NumSegments(), 0u);  // no columnar chain in row mode
-  EXPECT_EQ(t.ProbeCount(0, Term::Constant(1)), 1u);
-  EXPECT_EQ(t.DistinctAt(0), 1u);
-}
-
 TEST(FactTable, OverlayAppendAfterMarkFrozen) {
-  for (StorageMode mode : {StorageMode::kRow, StorageMode::kColumnar}) {
-    FactTable t(1, mode);
-    Term a[1] = {Term::Constant(1)};
-    Term b[1] = {Term::Constant(2)};
-    t.Insert(a, 0);
-    t.MarkFrozen();
-    EXPECT_TRUE(t.Insert(b, 1)) << StorageModeToString(mode);
-    EXPECT_EQ(t.frozen_rows(), 1u);
-    EXPECT_EQ(t.size(), 2u);
-    // Probes see frozen base and overlay rows alike, ascending.
-    EXPECT_EQ(t.Probe(0, Term::Constant(1)), (std::vector<uint32_t>{0}));
-    EXPECT_EQ(t.Probe(0, Term::Constant(2)), (std::vector<uint32_t>{1}));
-    // Re-inserting a frozen-base row is still a duplicate.
-    EXPECT_FALSE(t.Insert(a, 2));
-  }
+  FactTable t(1);
+  Term a[1] = {Term::Constant(1)};
+  Term b[1] = {Term::Constant(2)};
+  t.Insert(a, 0);
+  t.MarkFrozen();
+  EXPECT_TRUE(t.Insert(b, 1));
+  EXPECT_EQ(t.frozen_rows(), 1u);
+  EXPECT_EQ(t.size(), 2u);
+  // Probes see frozen base and overlay rows alike, ascending.
+  EXPECT_EQ(t.Probe(0, Term::Constant(1)), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(t.Probe(0, Term::Constant(2)), (std::vector<uint32_t>{1}));
+  // Re-inserting a frozen-base row is still a duplicate.
+  EXPECT_FALSE(t.Insert(a, 2));
 }
 
-TEST(Instance, RowStorageModePropagatesToTables) {
-  auto p = Parser::ParseProgram("P(\"a\"). Q(\"a\", \"b\").");
-  ASSERT_TRUE(p.ok());
-  Instance inst = Instance::FromProgram(*p, StorageMode::kRow);
-  EXPECT_EQ(inst.storage_mode(), StorageMode::kRow);
-  for (uint32_t pred : inst.Predicates()) {
-    EXPECT_EQ(inst.Table(pred)->storage_mode(), StorageMode::kRow);
-  }
-  // Snapshots inherit the mode through the shared tables.
-  EXPECT_EQ(inst.Snapshot().storage_mode(), StorageMode::kRow);
-}
-
+// A table holds its rows either in one overlay or in a sealed chain plus
+// an overlay; the statistics must not depend on which. The second
+// instance seals every fact but the last, whose first value repeats
+// across the seal, so its distinct count must consult the sealed
+// dictionary.
 TEST(Instance, StatisticsIdenticalAcrossStorageModes) {
   auto p = Parser::ParseProgram(
       "P(\"a\"). P(\"b\"). P(\"a\"). Q(\"a\", \"b\"). Q(\"a\", \"c\").");
   ASSERT_TRUE(p.ok());
-  InstanceStatistics row =
-      Instance::FromProgram(*p, StorageMode::kRow).CollectStatistics();
-  InstanceStatistics col =
-      Instance::FromProgram(*p, StorageMode::kColumnar).CollectStatistics();
-  EXPECT_EQ(row.total_facts, col.total_facts);
-  EXPECT_EQ(row.max_rows, col.max_rows);
-  ASSERT_EQ(row.tables.size(), col.tables.size());
-  for (const auto& [pred, t] : row.tables) {
-    ASSERT_TRUE(col.tables.count(pred));
-    EXPECT_EQ(t.rows, col.tables.at(pred).rows);
-    EXPECT_EQ(t.distinct, col.tables.at(pred).distinct);
+  InstanceStatistics one = Instance::FromProgram(*p).CollectStatistics();
+
+  Instance chained(p->vocab());
+  const std::vector<Atom>& facts = p->facts();
+  for (size_t i = 0; i < facts.size(); ++i) {
+    if (i + 1 == facts.size()) chained.Freeze();
+    chained.AddFact(facts[i], 0);
+  }
+  const uint32_t q = p->vocab()->FindPredicate("Q");
+  ASSERT_EQ(chained.Table(q)->NumSegments(), 2u);
+  InstanceStatistics two = chained.CollectStatistics();
+
+  EXPECT_EQ(one.total_facts, two.total_facts);
+  EXPECT_EQ(one.max_rows, two.max_rows);
+  ASSERT_EQ(one.tables.size(), two.tables.size());
+  for (const auto& [pred, t] : one.tables) {
+    ASSERT_TRUE(two.tables.count(pred));
+    EXPECT_EQ(t.rows, two.tables.at(pred).rows);
+    EXPECT_EQ(t.distinct, two.tables.at(pred).distinct);
   }
 }
 

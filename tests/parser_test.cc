@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 namespace mdqa::datalog {
 namespace {
 
@@ -144,6 +148,19 @@ TEST(Parser, NumbersIncludingNegativeAndFloat) {
   EXPECT_EQ(v.ConstantValue(p->facts()[0].terms[2].id()).AsInt(), 7);
 }
 
+// A numeral out of int64_t/double range is a string constant of its
+// text: it neither reads as 0 nor aborts the parser.
+TEST(Parser, OutOfRangeNumeralsAreStringConstants) {
+  const std::string huge = std::string(400, '9') + ".5";
+  auto p = Parser::ParseProgram("P(99999999999999999999). P(" + huge + ").");
+  ASSERT_TRUE(p.ok()) << p.status();
+  const Vocabulary& v = *p->vocab();
+  ASSERT_EQ(p->facts().size(), 2u);
+  EXPECT_EQ(v.ConstantValue(p->facts()[0].terms[0].id()),
+            Value::Str("99999999999999999999"));
+  EXPECT_EQ(v.ConstantValue(p->facts()[1].terms[0].id()), Value::Str(huge));
+}
+
 TEST(Parser, StatementPeriodVersusDecimalPoint) {
   auto p = Parser::ParseProgram("P(1).Q(2.5).");
   ASSERT_TRUE(p.ok()) << p.status();
@@ -239,6 +256,34 @@ TEST(Parser, NullLiteralsRoundTrip) {
   auto p2 = Parser::ParseProgram(p->ToString());
   ASSERT_TRUE(p2.ok()) << p2.status();
   EXPECT_EQ(p2->ToString(), p->ToString());
+}
+
+// A `_n<k>` id must lie below UINT32_MAX: beyond uint64 it used to throw,
+// 2^32 aliased _n0, and UINT32_MAX wrapped the fresh-null counter to 0.
+// Each is now a syntax error at the null's token.
+TEST(Parser, NullIdsOutOfRangeAreSyntaxErrors) {
+  for (const char* text :
+       {"P(_n99999999999999999999999).", "P(_n4294967296). P(_n0).",
+        "P(_n4294967295)."}) {
+    Program program;
+    ParseReport report;
+    Status s = Parser::ParseInto(text, &program, &report);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_EQ(report.error_kind, ParseReport::ErrorKind::kSyntax) << text;
+    EXPECT_EQ(report.error_span, (SourceSpan{1, 3})) << text;
+    EXPECT_EQ(program.vocab()->NumNulls(), 0u) << text;
+  }
+  // The largest id below UINT32_MAX still parses and reserves its slot.
+  auto p = Parser::ParseProgram("P(_n4294967294).");
+  ASSERT_TRUE(p.ok()) << p.status();
+  EXPECT_EQ(p->facts()[0].terms[0].id(), 4294967294u);
+  EXPECT_EQ(p->vocab()->NumNulls(), 4294967295u);
+}
+
+TEST(Vocabulary, ReserveNullsThroughSaturates) {
+  Vocabulary vocab;
+  vocab.ReserveNullsThrough(std::numeric_limits<uint32_t>::max());
+  EXPECT_EQ(vocab.NumNulls(), std::numeric_limits<uint32_t>::max());
 }
 
 TEST(Parser, UnderscoreNamesThatAreNotNullsStayVariables) {

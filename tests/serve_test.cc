@@ -378,6 +378,33 @@ TEST(AssessmentServer, UpdateBumpsGenerationAndChangesAnswers) {
   EXPECT_TRUE(drained.ok()) << drained;
 }
 
+// A cell whose numeral overflows double used to throw out of
+// Value::FromText and terminate the daemon: it is now the string "1e999".
+TEST(AssessmentServer, OutOfRangeNumeralCellGetsAReply) {
+  ServerOptions options;
+  options.default_deadline = milliseconds(30000);
+  options.default_quota.max_deadline = milliseconds(30000);
+  auto server = StartHospital(options);
+  const uint16_t port = server->port();
+
+  auto resp = Call(port, "POST", "/update",
+                   R"({"relation": "Measurements",)"
+                   R"( "insert": [["Sep/9-23:50", "Nick Cave", "1e999"]]})");
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  EXPECT_EQ(resp->status, 200) << resp->body;
+  EXPECT_NE(resp->body.find("\"applied\":true"), std::string::npos)
+      << resp->body;
+
+  auto health = Call(port, "GET", "/healthz", "");
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_EQ(health->status, 200);
+  EXPECT_NE(health->body.find("\"generation\":2"), std::string::npos)
+      << health->body;
+
+  server->Shutdown();
+  EXPECT_TRUE(server->DrainStatus().ok()) << server->DrainStatus();
+}
+
 TEST(AssessmentServer, DrainRefusesNewUpdatesButHealthzReportsIt) {
   auto server = StartHospital(ServerOptions{});
   server->RequestDrain();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 namespace mdqa {
 namespace {
 
@@ -24,6 +28,27 @@ TEST(Value, FromTextPrefersMostSpecificType) {
   EXPECT_TRUE(Value::FromText("W1").is_string());
   EXPECT_TRUE(Value::FromText("Sep/5-12:10").is_string());
   EXPECT_TRUE(Value::FromText("").is_string());
+}
+
+// A numeral out of int64_t/double range is not a number: it stays the
+// string of its exact text, and nothing throws.
+TEST(Value, FromTextKeepsOutOfRangeNumeralsAsText) {
+  EXPECT_EQ(Value::FromText("9223372036854775807"),
+            Value::Int(std::numeric_limits<int64_t>::max()));
+  EXPECT_EQ(Value::FromText("-9223372036854775808"),
+            Value::Int(std::numeric_limits<int64_t>::min()));
+  EXPECT_EQ(Value::FromText("9223372036854775808"),
+            Value::Str("9223372036854775808"));
+  EXPECT_EQ(Value::FromText("-9223372036854775809"),
+            Value::Str("-9223372036854775809"));
+  EXPECT_EQ(Value::FromText("+9223372036854775808"),
+            Value::Str("+9223372036854775808"));
+  EXPECT_EQ(Value::FromText("1e999"), Value::Str("1e999"));
+  EXPECT_EQ(Value::FromText("-1e999"), Value::Str("-1e999"));
+  EXPECT_EQ(Value::FromText("1e-400"), Value::Str("1e-400"));
+  const std::string huge = std::string(400, '9') + ".5";
+  EXPECT_EQ(Value::FromText(huge), Value::Str(huge));
+  EXPECT_EQ(Value::FromText("1e308"), Value::Real(1e308));
 }
 
 TEST(Value, AsNumberWidensInt) {
