@@ -137,12 +137,13 @@ struct AssessOptions {
   /// When non-null, on the prepared kChase path, the per-relation
   /// quality versions are computed concurrently on this pool, each under
   /// its own derived budget, and merged into the report in relation
-  /// order. The materialization chase itself runs serially. Reports are byte-identical to a serial run as long as no
-  /// deadline, cancellation, or fault probe trips (per-relation *counter*
-  /// caps are private to each relation, so their kTruncated outcomes are
-  /// deterministic at any thread count). After a cancellation a parallel
-  /// run may still report relations a serial run would have skipped —
-  /// work already finished is kept. Not owned.
+  /// order. The materialization chase itself runs serially. Reports are
+  /// byte-identical to a serial run as long as no deadline, cancellation,
+  /// or fault probe trips (per-relation *counter* caps are private to
+  /// each relation, so their kTruncated outcomes are deterministic at any
+  /// thread count). After a cancellation a parallel run may still report
+  /// relations a serial run would have skipped — work already finished is
+  /// kept. Not owned.
   ThreadPool* pool = nullptr;
 };
 
