@@ -11,7 +11,9 @@
 //                     deadline; chase/ask return partial (sound) results
 //                     tagged "truncated" when it expires. Ctrl-C likewise
 //                     cancels the running command instead of killing the
-//                     shell (exit with 'quit' or Ctrl-D).
+//                     shell (exit with 'quit' or Ctrl-D). Deadline or not,
+//                     every command also stops, truncated, once it derives
+//                     10,000,000 facts, so a divergent chase still ends.
 //   --threads=N       evaluate `ask`'s UCQ rewriting disjuncts on an
 //                     N-worker thread pool (results are identical to
 //                     serial execution; see docs/parallelism.md). The
@@ -73,6 +75,9 @@ namespace {
 // next check and winds down with a partial result.
 CancellationToken g_interrupt;
 
+// Facts one command may derive before it stops with a truncated result.
+constexpr uint64_t kMaxFactsPerCommand = 10'000'000;
+
 extern "C" void HandleSigint(int) { g_interrupt.Cancel(); }
 
 class Shell {
@@ -80,6 +85,7 @@ class Shell {
   explicit Shell(int deadline_ms = 0, int threads = 0)
       : deadline_ms_(deadline_ms) {
     budget_.set_cancellation(&g_interrupt);
+    budget_.set_max_facts(kMaxFactsPerCommand);
     if (threads > 0) pool_ = std::make_unique<ThreadPool>(threads);
     Reset();
   }

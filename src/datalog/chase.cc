@@ -191,10 +191,6 @@ const char* ChaseStopToString(ChaseStop stop) {
   switch (stop) {
     case ChaseStop::kNone:
       return "none";
-    case ChaseStop::kRoundLimit:
-      return "round-limit";
-    case ChaseStop::kFactLimit:
-      return "fact-limit";
     case ChaseStop::kBudget:
       return "budget";
     case ChaseStop::kCancelled:
@@ -281,26 +277,20 @@ class ChaseLoop {
   // is a sound partial result. Hard faults return immediately instead.
   bool interrupted() const { return !interrupt_.ok(); }
 
-  // Records the first interruption; later ones are ignored.
-  void Interrupt(Status s, ChaseStop reason) {
-    if (interrupt_.ok()) {
-      interrupt_ = std::move(s);
-      stats_->stop = reason;
-    }
-  }
-
-  // Routes a budget trip into the interruption; returns non-OK only for
-  // hard (non-truncation) faults, e.g. an injected kInternal.
+  // Records the first budget trip as the interruption (later ones are
+  // ignored); returns non-OK only for hard (non-truncation) faults, e.g.
+  // an injected kInternal.
   Status Absorb(Status s) {
     if (s.ok() || interrupted()) return Status::Ok();
     if (!ExecutionBudget::IsTruncation(s)) return s;
-    const ChaseStop reason = s.code() == StatusCode::kCancelled
-                                 ? ChaseStop::kCancelled
-                                 : ChaseStop::kBudget;
-    Interrupt(std::move(s), reason);
+    stats_->stop = s.code() == StatusCode::kCancelled ? ChaseStop::kCancelled
+                                                      : ChaseStop::kBudget;
+    interrupt_ = std::move(s);
     return Status::Ok();
   }
 
+  // Charges the next round; the caller counts it only if this leaves the
+  // run uninterrupted.
   Status StartRound() {
     if (budget_ == nullptr) return Status::Ok();
     Status bs = budget_->CheckNow("chase:round");
@@ -340,17 +330,12 @@ class ChaseLoop {
   // Fills the completion fields of the stats. A run that reached its
   // fixpoint holds the full chase result, so it records the resume state
   // Extend needs.
-  void Finish(uint64_t rounds, bool round_limit,
-              const std::string& limit_message) {
+  void Finish(uint64_t rounds) {
     stats_->rounds = rounds;
-    stats_->reached_fixpoint = !interrupted() && !round_limit;
+    stats_->reached_fixpoint = !interrupted();
     if (interrupted()) {
       stats_->completeness = Completeness::kTruncated;
       stats_->interruption = interrupt_;
-    } else if (round_limit) {
-      stats_->completeness = Completeness::kTruncated;
-      stats_->stop = ChaseStop::kRoundLimit;
-      stats_->interruption = Status::ResourceExhausted(limit_message);
     } else {
       CaptureFrontier(instance_, stats_);
     }
@@ -443,9 +428,6 @@ Status ChaseLoop::Apply(RulePlan* plan, const TriggerRows& triggers,
   const bool probe = options_.restricted && plan->existential.empty();
   std::vector<Term> binding(width + plan->existential.size());
   std::vector<Term> head(plan->head.size());
-  // Only this loop adds facts while it runs, so a running count serves
-  // the max_facts check.
-  size_t total_facts = instance_->TotalFacts();
   // The budget is polled once per 16 triggers through a local tick (the
   // first trigger always polls, so armed faults and expired deadlines
   // still surface deterministically); ChargeFacts below stays per-fact
@@ -502,7 +484,7 @@ Status ChaseLoop::Apply(RulePlan* plan, const TriggerRows& triggers,
     }
 
     for (size_t k = width; k < binding.size(); ++k) {
-      binding[k] = instance_->vocab()->FreshNull();
+      MDQA_ASSIGN_OR_RETURN(binding[k], instance_->vocab()->FreshNull());
       ++stats_->nulls_created;
     }
     ++stats_->tgd_firings;
@@ -512,7 +494,6 @@ Status ChaseLoop::Apply(RulePlan* plan, const TriggerRows& triggers,
       if (instance_->MutableTable(a.predicate, a.arity())->Insert(row,
                                                                   level)) {
         ++stats_->facts_added;
-        ++total_facts;
         if (gained != nullptr) gained->insert(a.predicate);
         if (budget_ != nullptr) {
           MDQA_RETURN_IF_ERROR(Absorb(budget_->ChargeFacts(1)));
@@ -525,14 +506,6 @@ Status ChaseLoop::Apply(RulePlan* plan, const TriggerRows& triggers,
       }
       row += a.arity();
     }
-    if (total_facts > options_.max_facts) {
-      Interrupt(Status::ResourceExhausted(
-                    "chase exceeded max_facts=" +
-                    std::to_string(options_.max_facts) + " at round " +
-                    std::to_string(level)),
-                ChaseStop::kFactLimit);
-      break;
-    }
   }
   return Status::Ok();
 }
@@ -543,9 +516,6 @@ Result<ChaseStats> Chase::Run(const Program& program, Instance* instance,
                               const ChaseOptions& options) {
   ChaseStats stats;
   MDQA_RETURN_IF_ERROR(Run(program, instance, options, &stats));
-  // The legacy contract: blowing max_facts is a hard error (the new
-  // out-param overload reports it as truncation metadata instead).
-  if (stats.stop == ChaseStop::kFactLimit) return stats.interruption;
   return stats;
 }
 
@@ -589,19 +559,14 @@ Status Chase::Run(const Program& program, Instance* instance,
   // which delta windows would miss; the round after a merge runs naive.
   bool force_full = false;
   uint64_t round = 0;  // global across strata: levels stay monotone
-  bool budget_exhausted = false;
 
   for (const std::vector<RulePlan*>& stratum_rules : by_stratum) {
-    if (budget_exhausted || loop.interrupted()) break;
+    if (loop.interrupted()) break;
     bool stratum_start = true;
     while (true) {
-      if (++round > options.max_rounds) {
-        --round;
-        budget_exhausted = true;
-        break;
-      }
       MDQA_RETURN_IF_ERROR(loop.StartRound());
       if (loop.interrupted()) break;
+      ++round;
       const bool full_pass =
           stratum_start || !options.semi_naive || force_full;
       stratum_start = false;
@@ -628,12 +593,8 @@ Status Chase::Run(const Program& program, Instance* instance,
     }
   }
 
-  stats->rounds = round;
-  stats->reached_fixpoint = !budget_exhausted && !loop.interrupted();
-
-  // Post-phase EGDs and the constraint check still run on the legacy
-  // round-limit path (unchanged behaviour) but not after a budget trip:
-  // the caller asked us to stop working.
+  // No post-phase EGDs or constraint check after a budget trip: the
+  // caller asked the chase to stop working.
   if (!loop.interrupted() && options.egd_mode == EgdMode::kPost) {
     MDQA_RETURN_IF_ERROR(loop.RunEgds(program, &merges));
   }
@@ -641,9 +602,7 @@ Status Chase::Run(const Program& program, Instance* instance,
     MDQA_RETURN_IF_ERROR(
         loop.Absorb(CheckConstraints(program, *instance, options.budget)));
   }
-  loop.Finish(round, budget_exhausted,
-              "chase stopped at max_rounds=" +
-                  std::to_string(options.max_rounds));
+  loop.Finish(round);
   return Status::Ok();
 }
 
@@ -814,17 +773,12 @@ Status Chase::Extend(const Program& program, Instance* instance,
 
   uint64_t round = seed_level;  // the seed insertion consumed this round
   bool force_full = false;
-  bool budget_exhausted = false;
 
-  while (!loop.interrupted() && !budget_exhausted) {  // TGD/EGD alternation
+  while (!loop.interrupted()) {  // TGD/EGD alternation
     while (true) {  // TGD rounds to fixpoint
-      if (++round - frontier.round > options.max_rounds) {
-        --round;
-        budget_exhausted = true;
-        break;
-      }
       MDQA_RETURN_IF_ERROR(loop.StartRound());
       if (loop.interrupted()) break;
+      ++round;
       // Semi-naive restart: identical windows to Run's delta passes — in
       // the first extension round `prev == seed_level`, so the delta atom
       // ranges over exactly the seeded facts while earlier atoms stay on
@@ -844,7 +798,7 @@ Status Chase::Extend(const Program& program, Instance* instance,
       added_prev = std::move(added_this);
       if (added_prev.empty()) break;  // TGD fixpoint for this alternation
     }
-    if (loop.interrupted() || budget_exhausted || !has_egds) break;
+    if (loop.interrupted() || !has_egds) break;
 
     // The EGDs were at fixpoint when the frontier was captured, so they
     // can only fire again if some EGD body predicate gained a fact since
@@ -871,8 +825,7 @@ Status Chase::Extend(const Program& program, Instance* instance,
     force_full = true;
   }
 
-  if (!loop.interrupted() && !budget_exhausted &&
-      options.check_constraints) {
+  if (!loop.interrupted() && options.check_constraints) {
     // The base run checked every constraint before capturing the
     // frontier, so only constraints reachable from new facts can have
     // flipped. EGD merges rewrite old facts in place, invalidating that
@@ -882,9 +835,7 @@ Status Chase::Extend(const Program& program, Instance* instance,
     MDQA_RETURN_IF_ERROR(loop.Absorb(
         CheckConstraints(program, *instance, options.budget, filter)));
   }
-  loop.Finish(round, budget_exhausted,
-              "chase extension stopped after max_rounds=" +
-                  std::to_string(options.max_rounds) + " additional rounds");
+  loop.Finish(round);
   if (stats->frontier.valid) {
     stats->frontier.egd_merges = frontier.egd_merges + stats->egd_merges;
   }

@@ -2,7 +2,6 @@
 #define MDQA_DATALOG_CHASE_H_
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -28,13 +27,6 @@ enum class EgdMode {
 };
 
 struct ChaseOptions {
-  /// Upper bound on chase rounds. A fact's derivation level is the round
-  /// that created it (extensional facts are level 0), so this doubles as
-  /// the level bound of the level-bounded chase used for weakly-sticky
-  /// query answering.
-  uint64_t max_rounds = 1'000'000;
-  /// Abort (kResourceExhausted) when the instance outgrows this.
-  uint64_t max_facts = 10'000'000;
   EgdMode egd_mode = EgdMode::kInterleaved;
   /// Evaluate negative constraints after the chase; a violation makes the
   /// run fail with kInconsistent and a witness.
@@ -55,9 +47,16 @@ struct ChaseOptions {
   class ProvenanceStore* provenance = nullptr;
   /// When non-null, the chase charges facts/rounds/memory against this
   /// budget and polls it for deadline expiry, cancellation, and injected
-  /// faults. Budget trips stop the run *gracefully*: the out-param
-  /// `Run` overload returns OK with `ChaseStats::completeness ==
-  /// kTruncated` and the partial (sound) instance in place. Not owned.
+  /// faults. The budget is the only thing that stops a run early (null =
+  /// unlimited). A trip stops the run *gracefully*: `Run` returns OK with
+  /// `ChaseStats::completeness == kTruncated` and the partial (sound)
+  /// instance in place, and no post-phase EGD pass or constraint check
+  /// runs after it. A fact's derivation level is the round that created
+  /// it (extensional facts are level 0), so the budget's round cap
+  /// (`ExecutionBudget::set_max_rounds`) is the level bound of the
+  /// level-bounded chase used for weakly-sticky query answering. Counters
+  /// add up across runs: call `ResetUsage` before re-running under the
+  /// same budget. Not owned.
   ExecutionBudget* budget = nullptr;
   /// Not read by the chase: every pass collects its triggers serially
   /// (see docs/parallelism.md). The field stays only because the
@@ -109,12 +108,9 @@ struct ChaseFrontier {
 
 /// Why a chase run stopped before its fixpoint.
 enum class ChaseStop {
-  kNone,        ///< did not stop early
-  kRoundLimit,  ///< legacy ChaseOptions::max_rounds tripped
-  kFactLimit,   ///< legacy ChaseOptions::max_facts tripped (hard error in
-                ///< the Result-returning overload, for compatibility)
-  kBudget,      ///< ExecutionBudget counter/deadline/memory trip
-  kCancelled,   ///< CancellationToken fired
+  kNone,       ///< did not stop early
+  kBudget,     ///< ExecutionBudget counter/deadline/memory trip
+  kCancelled,  ///< CancellationToken fired
 };
 
 const char* ChaseStopToString(ChaseStop stop);
@@ -165,13 +161,12 @@ class Chase {
   /// return — including on error — so callers never lose progress
   /// accounting. Budget/deadline/cancellation trips return OK with
   /// `stats->completeness == kTruncated` and the partial instance in
-  /// place; hard failures (kInconsistent, invalid rules) return non-OK.
+  /// place; hard failures (kInconsistent, invalid rules, labeled-null
+  /// ids exhausted) return non-OK.
   static Status Run(const Program& program, Instance* instance,
                     const ChaseOptions& options, ChaseStats* stats);
 
-  /// Compatibility overload. Identical except that the legacy
-  /// `max_facts` trip is reported as a kResourceExhausted *error* (with
-  /// the accumulated stats discarded), as older callers expect.
+  /// The same run, with the stats returned by value (lost on error).
   static Result<ChaseStats> Run(const Program& program, Instance* instance,
                                 const ChaseOptions& options = ChaseOptions());
 

@@ -78,10 +78,12 @@ class CqEvaluator {
   /// may contain labeled nulls; callers wanting certain answers filter
   /// them (see HasNull).
   ///
-  /// With a null `interruption`, a budget trip is a hard error (legacy
-  /// behaviour). With a non-null `interruption`, a budget trip returns
-  /// the tuples found so far — a sound under-approximation — and stores
-  /// the truncation status in `*interruption` (OK when complete).
+  /// With a non-null `interruption`, a budget trip returns the tuples
+  /// found so far — a sound under-approximation — and stores the
+  /// truncation status in `*interruption` (OK when complete). With a null
+  /// `interruption`, a budget trip fails with that status: it is then the
+  /// only way the caller can learn the answers are partial, and handing
+  /// back the partial tuples silently would be unsound.
   Result<std::vector<std::vector<Term>>> Answers(
       const ConjunctiveQuery& query, Status* interruption = nullptr) const;
 

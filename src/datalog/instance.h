@@ -21,9 +21,10 @@ namespace mdqa::datalog {
 /// per-position probes: immutable shared sealed segments plus one mutable
 /// overlay. The vectorized join executor (datalog/join.h) probes these
 /// block-at-a-time.
-/// Each row carries a derivation level: 0 for extensional facts, and
-/// 1 + max(body levels) for chase-derived facts — the level-bounded
-/// chase used for weakly-sticky query answering keys off this.
+/// Each row carries a derivation level: 0 for extensional facts, and the
+/// chase round that derived it otherwise — so the level-bounded chase
+/// used for weakly-sticky query answering is a chase whose budget caps
+/// its rounds (`ExecutionBudget::set_max_rounds`).
 ///
 /// A table is segmented into a *frozen base* (rows below `frozen_rows()`,
 /// written before the last `MarkFrozen()`) and a *mutable overlay* (rows

@@ -77,9 +77,16 @@ class Vocabulary {
     return Term::Variable(InternVariable(name));
   }
 
-  /// Mints a fresh labeled null ⊥_k.
-  Term FreshNull() {
+  /// Mints a fresh labeled null ⊥_k. Ids stay below UINT32_MAX (the
+  /// parser's `_n<k>` range), so minting never wraps onto an existing
+  /// null: once they run out it fails with kResourceExhausted.
+  Result<Term> FreshNull() {
     AssertOwnerThread();
+    if (next_null_ == std::numeric_limits<uint32_t>::max()) {
+      return Status::ResourceExhausted(
+          "labeled null ids exhausted: every id below " +
+          std::to_string(next_null_) + " is taken");
+    }
     return Term::Null(next_null_++);
   }
   uint32_t NumNulls() const { return next_null_; }

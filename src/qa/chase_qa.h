@@ -14,7 +14,8 @@ namespace mdqa::qa {
 /// once, then evaluates conjunctive queries against the chased instance.
 /// Certain answers are the null-free tuples — sound and, for weakly-sticky
 /// programs chased deep enough for the query at hand, complete (the paper's
-/// §IV tractability claim; `ChaseOptions::max_rounds` is the level bound).
+/// §IV tractability claim; the round cap of `ChaseOptions::budget`,
+/// `ExecutionBudget::set_max_rounds`, is the level bound).
 class ChaseQa {
  public:
   /// A `ChaseOptions::budget` trip during materialization yields a

@@ -79,7 +79,7 @@ Status DeterministicWsQa::Fire(const Rule& rule, const Subst& theta) {
   MDQA_ASSIGN_OR_RETURN(bool satisfied, eval.Satisfiable(rule.head, {}, h));
   if (satisfied) return Status::Ok();
   for (uint32_t z : rule.ExistentialVariables()) {
-    h[z] = vocab_->FreshNull();
+    MDQA_ASSIGN_OR_RETURN(h[z], vocab_->FreshNull());
   }
   ++stats_.rule_applications;
   std::vector<Atom> witness;
@@ -108,11 +108,6 @@ Status DeterministicWsQa::Fire(const Rule& rule, const Subst& theta) {
             fact, datalog::ProvenanceStore::Derivation{rule, witness});
       }
     }
-  }
-  if (work_.TotalFacts() > options_.max_facts) {
-    return Status::ResourceExhausted(
-        "WS QA materialized more than max_facts=" +
-        std::to_string(options_.max_facts));
   }
   return Status::Ok();
 }
@@ -204,10 +199,7 @@ Status DeterministicWsQa::SolveGoals(
       return Status::Ok();
     }
   }
-  if (++stats_.resolution_steps > options_.max_steps) {
-    return Status::ResourceExhausted("WS QA exceeded max_steps=" +
-                                     std::to_string(options_.max_steps));
-  }
+  ++stats_.resolution_steps;
   // Prune on any decided-false comparison.
   for (const Comparison& c : comparisons) {
     Term lhs = Resolve(*subst, c.lhs);

@@ -17,12 +17,10 @@ namespace mdqa::qa {
 struct WsQaOptions {
   /// Maximum nesting depth of TGD applications along one proof branch
   /// (the height of the paper's resolution proof schema). 0 = automatic:
-  /// `4 * #TGDs + 8`, ample for dimensional-navigation chains.
+  /// `4 * #TGDs + 8`, ample for dimensional-navigation chains. This keeps
+  /// the search finite; it is a completeness parameter (answers needing
+  /// deeper proofs are not found), not a resource limit.
   uint32_t max_depth = 0;
-  /// Resolution-step budget; exceeding it fails with kResourceExhausted.
-  uint64_t max_steps = 5'000'000;
-  /// Materialized-fact budget.
-  uint64_t max_facts = 1'000'000;
   /// When non-null, every firing records its ground body witness (see
   /// datalog/provenance.h) — the materialized resolution proof schema.
   datalog::ProvenanceStore* provenance = nullptr;
@@ -31,11 +29,11 @@ struct WsQaOptions {
   /// their subtrees.
   bool use_memo = true;
   /// When non-null, the proof search polls this budget (probe "ws:step")
-  /// and charges steps/materialized facts against it. Budget trips stop
-  /// the search *gracefully*: `Answers`/`PossibleAnswers` return the
-  /// solutions found so far (each backed by a real proof, hence sound)
-  /// with `WsQaStats::completeness == kTruncated`; the legacy
-  /// `max_steps`/`max_facts` limits above remain hard errors. Not owned.
+  /// and charges steps/materialized facts against it; it is the only
+  /// resource limit (null = unlimited). Budget trips stop the search
+  /// *gracefully*: `Answers`/`PossibleAnswers` return the solutions found
+  /// so far (each backed by a real proof, hence sound) with
+  /// `WsQaStats::completeness == kTruncated`. Not owned.
   ExecutionBudget* budget = nullptr;
 };
 

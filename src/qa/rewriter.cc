@@ -26,6 +26,10 @@ using datalog::Vocabulary;
 
 namespace {
 
+// The most CQs one rewriting may generate before the rules are refused as
+// not FO-rewritable for the query (see UcqRewriter).
+constexpr size_t kMaxQueries = 20'000;
+
 // Applies `s` to a whole query.
 ConjunctiveQuery SubstQuery(const Subst& s, const ConjunctiveQuery& q) {
   ConjunctiveQuery out = q;
@@ -144,7 +148,7 @@ Result<std::vector<ConjunctiveQuery>> UcqRewriter::Rewrite(
     if (!seen.insert(std::move(key)).second) return true;
     result.push_back(std::move(q));
     worklist.push_back(result.size() - 1);
-    return result.size() <= options.max_queries;
+    return result.size() <= kMaxQueries;
   };
   if (!push(query)) {
     return Status::ResourceExhausted("rewriting exceeded max_queries");
@@ -163,9 +167,7 @@ Result<std::vector<ConjunctiveQuery>> UcqRewriter::Rewrite(
         break;
       }
     }
-    if (++stats->iterations > options.max_iterations) {
-      return Status::ResourceExhausted("rewriting exceeded max_iterations");
-    }
+    ++stats->iterations;
     const ConjunctiveQuery q = result[worklist.front()];
     worklist.pop_front();
 

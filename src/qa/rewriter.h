@@ -12,18 +12,13 @@
 namespace mdqa::qa {
 
 struct RewriteOptions {
-  /// Caps on the generated UCQ and on rewrite iterations; exceeding either
-  /// fails with kResourceExhausted (the input was not FO-rewritable in
-  /// budget — e.g. a recursive rule set).
-  size_t max_queries = 20'000;
-  size_t max_iterations = 100'000;
   /// When non-null, the rewriting loop polls this budget (probe
-  /// "rewrite:iter") and evaluation polls it per row. A budget trip stops
-  /// the rewriting *gracefully*: the UCQ built so far is returned with
+  /// "rewrite:iter") and evaluation polls it per row; it is the only
+  /// resource limit (null = unlimited). A budget trip stops the rewriting
+  /// *gracefully*: the UCQ built so far is returned with
   /// `RewriteStats::completeness == kTruncated` — every disjunct is
   /// individually sound, so evaluating the partial UCQ under-approximates
-  /// the certain answers. The legacy caps above remain hard errors. Not
-  /// owned.
+  /// the certain answers. Not owned.
   ExecutionBudget* budget = nullptr;
   /// When non-null, `Answers` evaluates the UCQ's disjuncts concurrently
   /// on this pool (the EDB is read-only) and merges the per-disjunct
@@ -55,10 +50,12 @@ struct RewriteStats {
 /// are canonicalized and deduplicated.
 ///
 /// The procedure works for any TGD set with single-atom heads; it simply
-/// may not terminate within budget when the program is recursive — which
-/// is why the ontology layer gates it on `OntologyProperties::upward_only`
-/// (upward navigation strictly descends the finite category DAG, so the
-/// rewriting terminates).
+/// may not terminate when the program is recursive — which is why the
+/// ontology layer gates it on `OntologyProperties::upward_only` (upward
+/// navigation strictly descends the finite category DAG, so the rewriting
+/// terminates). A rewriting that generates more than 20,000 CQs fails
+/// with kResourceExhausted: the rules are refused as not FO-rewritable
+/// for the query. That refusal holds with or without a budget.
 class UcqRewriter {
  public:
   /// Rewrites `query` against `program`'s TGDs into a UCQ over the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -92,6 +93,169 @@ Status RunGate(const QualityContext& context, const datalog::Program& program,
   }
 
   report->referential_check = context.ontology().ValidateReferential();
+  return Status::Ok();
+}
+
+// Marks `report` as resting on partial work, keeping the first reason.
+void NoteTruncated(const Status& why, AssessmentReport* report) {
+  report->completeness = Completeness::kTruncated;
+  if (report->interruption.ok()) report->interruption = why;
+}
+
+// Reads one relation's quality version under `budget`; a truncated
+// read-off stores its status in `*interruption`.
+using QualitySource = std::function<Result<Relation>(
+    const std::string& relation, ExecutionBudget* budget,
+    Status* interruption)>;
+
+// The outcome of one relation's assessment, produced without touching any
+// shared report state — so relations can run concurrently and merge
+// deterministically in relation order.
+struct RelationOutcome {
+  Status hard_error;  // non-OK aborts the whole assessment at merge
+  bool computed = false;
+  Status failure;  // degradation status when !computed
+  int attempts = 0;
+  std::optional<QualityMeasures> measures;
+  std::optional<Relation> quality;
+  std::optional<Relation> dirty;
+};
+
+// The per-relation loop Assess and Reassess share. `reuse[i]`, when set,
+// is the index of an entry of `previous` copied verbatim for `names[i]`;
+// every other relation is recomputed from `source` and measured against
+// its rows in `database`, fanned out across `pool` when one is given.
+// Appends the entries, the degraded relations and the overall precision
+// to `report`; a hard error aborts the whole assessment.
+Status AssessRelations(const std::vector<std::string>& names,
+                       const std::vector<std::optional<size_t>>& reuse,
+                       const AssessmentReport& previous,
+                       const Database& database, const QualitySource& source,
+                       ThreadPool* pool, const AssessOptions& opts,
+                       AssessmentReport* report) {
+  std::vector<RelationOutcome> outcomes(names.size());
+
+  // Fault isolation: each relation computes under its own derived
+  // budget, retrying with escalated counter caps on exhaustion, so a
+  // single runaway quality version degrades to a RelationFailure
+  // instead of sinking the whole report. The derived budget's counters
+  // are private to the relation, which keeps counter-cap kTruncated
+  // outcomes deterministic even when relations run concurrently.
+  auto assess_one = [&](const std::string& name, RelationOutcome* out) {
+    Result<const Relation*> orig = database.GetRelation(name);
+    if (!orig.ok()) {
+      out->hard_error = orig.status();
+      return;
+    }
+    const Relation* original = *orig;
+    Status failure;
+    double scale = 1.0;
+    for (int attempt = 0; attempt <= opts.max_retries;
+         ++attempt, scale *= opts.escalation_factor) {
+      ++out->attempts;
+      ExecutionBudget rb;
+      if (opts.budget != nullptr) rb.InheritControlsFrom(*opts.budget);
+      if (opts.per_relation_max_facts > 0) {
+        rb.set_max_facts(static_cast<uint64_t>(
+            static_cast<double>(opts.per_relation_max_facts) * scale));
+      }
+      if (opts.per_relation_max_steps > 0) {
+        rb.set_max_steps(static_cast<uint64_t>(
+            static_cast<double>(opts.per_relation_max_steps) * scale));
+      }
+      failure = rb.CheckNow("assessor:relation");
+      if (failure.ok()) {
+        Status interruption;
+        Result<Relation> r = source(name, &rb, &interruption);
+        if (r.ok() && interruption.ok()) {
+          out->quality = std::move(r).value();
+          out->computed = true;
+          break;
+        }
+        // A truncated quality version is a budget trip for this
+        // relation: partial measures would misreport, so retry bigger.
+        failure = r.ok() ? std::move(interruption) : r.status();
+      }
+      if (!ExecutionBudget::IsTruncation(failure)) break;  // hard fault
+      if (failure.code() == StatusCode::kCancelled) break;
+    }
+    if (!out->computed) {
+      out->failure = std::move(failure);
+      return;
+    }
+    Result<QualityMeasures> m = Measure(*original, *out->quality);
+    if (!m.ok()) {
+      out->hard_error = m.status();
+      return;
+    }
+    Result<Relation> dirty = original->Minus(*out->quality);
+    if (!dirty.ok()) {
+      out->hard_error = dirty.status();
+      return;
+    }
+    out->measures = std::move(*m);
+    out->dirty = std::move(*dirty);
+  };
+
+  std::vector<size_t> todo;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (!reuse[i].has_value()) todo.push_back(i);
+  }
+  const bool parallel = pool != nullptr && todo.size() > 1;
+  if (parallel) {
+    pool->ParallelFor(todo.size(), [&](size_t k) {
+      assess_one(names[todo[k]], &outcomes[todo[k]]);
+    });
+  }
+
+  // Merge in relation order — the report is a pure function of the
+  // per-relation outcomes, so serial and parallel runs render
+  // identically (absent cancellation, see below).
+  size_t total_original = 0;
+  size_t total_common = 0;
+  Status cancelled;  // non-OK once a kCancelled trip stops the run
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (reuse[i].has_value()) {
+      const size_t p = *reuse[i];
+      total_original += previous.per_relation[p].original_size;
+      total_common += previous.per_relation[p].common;
+      report->per_relation.push_back(previous.per_relation[p]);
+      report->quality_versions.push_back(previous.quality_versions[p]);
+      report->dirty_tuples.push_back(previous.dirty_tuples[p]);
+      continue;
+    }
+    RelationOutcome& out = outcomes[i];
+    if (!cancelled.ok()) {
+      // Serial contract: relations after a cancellation are not
+      // attempted. A parallel run may have finished some of them
+      // already — completed work is kept, the rest report cancelled.
+      if (!parallel || !out.computed) {
+        report->degraded.push_back(RelationFailure{names[i], cancelled, 0});
+        continue;
+      }
+    } else if (!parallel) {
+      assess_one(names[i], &out);
+    }
+    MDQA_RETURN_IF_ERROR(out.hard_error);
+    if (!out.computed) {
+      NoteTruncated(out.failure, report);
+      if (out.failure.code() == StatusCode::kCancelled) {
+        cancelled = out.failure;
+      }
+      report->degraded.push_back(
+          RelationFailure{names[i], std::move(out.failure), out.attempts});
+      continue;
+    }
+    total_original += out.measures->original_size;
+    total_common += out.measures->common;
+    report->per_relation.push_back(std::move(*out.measures));
+    report->quality_versions.push_back(std::move(*out.quality));
+    report->dirty_tuples.push_back(std::move(*out.dirty));
+  }
+  report->overall_precision =
+      total_original == 0 ? 1.0
+                          : static_cast<double>(total_common) /
+                                static_cast<double>(total_original);
   return Status::Ok();
 }
 
@@ -227,11 +391,6 @@ Result<AssessmentReport> Assessor::Assess(const AssessOptions& opts) const {
                                opts.engine, opts.auto_engine, opts, &report));
   const qa::Engine engine = report.engine_used;
 
-  auto note_truncated = [&report](const Status& why) {
-    report.completeness = Completeness::kTruncated;
-    if (report.interruption.ok()) report.interruption = why;
-  };
-
   // One materialization serves both the constraint check and (when the
   // data is consistent and the default engine is in use) every quality
   // version below. An Inconsistent status is a finding, not a failure of
@@ -268,145 +427,25 @@ Result<AssessmentReport> Assessor::Assess(const AssessOptions& opts) const {
   report.actual_cost = prepared.ok() ? prepared->statistics().total_facts : 0;
   if (prepared.ok() && prepared->chase_stats().completeness ==
                            Completeness::kTruncated) {
-    note_truncated(prepared->chase_stats().interruption);
+    NoteTruncated(prepared->chase_stats().interruption, &report);
   }
 
   const bool use_prepared = prepared.ok() && engine == qa::Engine::kChase;
   const std::vector<std::string> names = context_->AssessedRelations();
-
-  // The outcome of one relation's assessment, produced by `assess_one`
-  // without touching any shared report state — so relations can run
-  // concurrently and merge deterministically in relation order below.
-  struct RelationOutcome {
-    Status hard_error;  // non-OK aborts the whole assessment at merge
-    bool computed = false;
-    Status failure;  // degradation status when !computed
-    int attempts = 0;
-    std::optional<QualityMeasures> measures;
-    std::optional<Relation> quality;
-    std::optional<Relation> dirty;
+  QualitySource source = [&](const std::string& name, ExecutionBudget* rb,
+                             Status* interruption) {
+    return use_prepared ? prepared->QualityVersion(name, rb, interruption)
+                        : context_->ComputeQualityVersion(name, engine, rb,
+                                                          interruption);
   };
-  std::vector<RelationOutcome> outcomes(names.size());
-
-  // Fault isolation: each relation computes under its own derived
-  // budget, retrying with escalated counter caps on exhaustion, so a
-  // single runaway quality version degrades to a RelationFailure
-  // instead of sinking the whole report. The derived budget's counters
-  // are private to the relation, which keeps counter-cap kTruncated
-  // outcomes deterministic even when relations run concurrently.
-  auto assess_one = [&](const std::string& name, RelationOutcome* out) {
-    Result<const Relation*> orig = context_->database().GetRelation(name);
-    if (!orig.ok()) {
-      out->hard_error = orig.status();
-      return;
-    }
-    const Relation* original = *orig;
-    Status failure;
-    double scale = 1.0;
-    for (int attempt = 0; attempt <= opts.max_retries;
-         ++attempt, scale *= opts.escalation_factor) {
-      ++out->attempts;
-      ExecutionBudget rb;
-      if (opts.budget != nullptr) rb.InheritControlsFrom(*opts.budget);
-      if (opts.fault_injector != nullptr) {
-        rb.set_fault_injector(opts.fault_injector);
-      }
-      if (opts.per_relation_max_facts > 0) {
-        rb.set_max_facts(static_cast<uint64_t>(
-            static_cast<double>(opts.per_relation_max_facts) * scale));
-      }
-      if (opts.per_relation_max_steps > 0) {
-        rb.set_max_steps(static_cast<uint64_t>(
-            static_cast<double>(opts.per_relation_max_steps) * scale));
-      }
-      failure = rb.CheckNow("assessor:relation");
-      if (failure.ok()) {
-        Status interruption;
-        Result<Relation> r =
-            use_prepared
-                ? prepared->QualityVersion(name, &rb, &interruption)
-                : context_->ComputeQualityVersion(name, engine, &rb,
-                                                  &interruption);
-        if (r.ok() && interruption.ok()) {
-          out->quality = std::move(r).value();
-          out->computed = true;
-          break;
-        }
-        // A truncated quality version is a budget trip for this
-        // relation: partial measures would misreport, so retry bigger.
-        failure = r.ok() ? std::move(interruption) : r.status();
-      }
-      if (!ExecutionBudget::IsTruncation(failure)) break;  // hard fault
-      if (failure.code() == StatusCode::kCancelled) break;
-    }
-    if (!out->computed) {
-      out->failure = std::move(failure);
-      return;
-    }
-    Result<QualityMeasures> m = Measure(*original, *out->quality);
-    if (!m.ok()) {
-      out->hard_error = m.status();
-      return;
-    }
-    Result<Relation> dirty = original->Minus(*out->quality);
-    if (!dirty.ok()) {
-      out->hard_error = dirty.status();
-      return;
-    }
-    out->measures = std::move(*m);
-    out->dirty = std::move(*dirty);
-  };
-
   // Fan the relations out across the pool on the prepared path, where
   // QualityVersion only reads the shared materialized instance. The
   // other engines rebuild the contextual program per relation, which
   // mutates the shared Vocabulary — those stay serial.
-  const bool parallel =
-      opts.pool != nullptr && use_prepared && names.size() > 1;
-  if (parallel) {
-    opts.pool->ParallelFor(
-        names.size(), [&](size_t i) { assess_one(names[i], &outcomes[i]); });
-  }
-
-  // Merge in relation order — the report is a pure function of the
-  // per-relation outcomes, so serial and parallel runs render
-  // identically (absent cancellation, see below).
-  size_t total_original = 0;
-  size_t total_common = 0;
-  Status cancelled;  // non-OK once a kCancelled trip stops the run
-  for (size_t i = 0; i < names.size(); ++i) {
-    RelationOutcome& out = outcomes[i];
-    if (!cancelled.ok()) {
-      // Serial contract: relations after a cancellation are not
-      // attempted. A parallel run may have finished some of them
-      // already — completed work is kept, the rest report cancelled.
-      if (!parallel || !out.computed) {
-        report.degraded.push_back(RelationFailure{names[i], cancelled, 0});
-        continue;
-      }
-    } else if (!parallel) {
-      assess_one(names[i], &out);
-    }
-    MDQA_RETURN_IF_ERROR(out.hard_error);
-    if (!out.computed) {
-      note_truncated(out.failure);
-      if (out.failure.code() == StatusCode::kCancelled) {
-        cancelled = out.failure;
-      }
-      report.degraded.push_back(
-          RelationFailure{names[i], std::move(out.failure), out.attempts});
-      continue;
-    }
-    total_original += out.measures->original_size;
-    total_common += out.measures->common;
-    report.per_relation.push_back(std::move(*out.measures));
-    report.quality_versions.push_back(std::move(*out.quality));
-    report.dirty_tuples.push_back(std::move(*out.dirty));
-  }
-  report.overall_precision =
-      total_original == 0 ? 1.0
-                          : static_cast<double>(total_common) /
-                                static_cast<double>(total_original);
+  MDQA_RETURN_IF_ERROR(AssessRelations(
+      names, std::vector<std::optional<size_t>>(names.size()),
+      AssessmentReport{}, context_->database(), source,
+      use_prepared ? opts.pool : nullptr, opts, &report));
   return report;
 }
 
@@ -429,12 +468,8 @@ Result<AssessmentReport> Assessor::Reassess(const PreparedContext& session,
   report.constraint_check = Status::Ok();
   report.actual_cost = session.statistics().total_facts;
 
-  auto note_truncated = [&report](const Status& why) {
-    report.completeness = Completeness::kTruncated;
-    if (report.interruption.ok()) report.interruption = why;
-  };
   if (session.chase_stats().completeness == Completeness::kTruncated) {
-    note_truncated(session.chase_stats().interruption);
+    NoteTruncated(session.chase_stats().interruption, &report);
   }
 
   const std::vector<std::string> names = context_->AssessedRelations();
@@ -449,13 +484,12 @@ Result<AssessmentReport> Assessor::Reassess(const PreparedContext& session,
 
   // Selective re-assessment: recompute a relation iff its own rows
   // changed, its quality predicate transitively depends on a changed
-  // predicate, or `previous` has no (complete) entry to copy. EGD
-  // programs recompute everything — a null merge can rewrite facts of
-  // any predicate, which no body→head reachability captures.
-  std::unordered_set<std::string> recompute;
-  if (!program.Egds().empty()) {
-    recompute.insert(names.begin(), names.end());
-  } else {
+  // predicate, or `previous` has no (complete) entry to copy; copy every
+  // other entry verbatim. EGD programs recompute everything — a null
+  // merge can rewrite facts of any predicate, which no body→head
+  // reachability captures.
+  std::vector<std::optional<size_t>> reuse(names.size());
+  if (program.Egds().empty()) {
     const datalog::Vocabulary* vocab = program.vocab().get();
     std::unordered_set<uint32_t> seeds;
     for (const std::string& rel : updated) {
@@ -464,148 +498,32 @@ Result<AssessmentReport> Assessor::Reassess(const PreparedContext& session,
     }
     const std::unordered_set<uint32_t> closure =
         datalog::DependentPredicates(program, seeds);
-    for (const std::string& name : names) {
-      bool need = std::find(updated.begin(), updated.end(), name) !=
-                  updated.end();
-      if (!need) {
-        Result<std::string> qpred_name = context_->QualityPredicateOf(name);
-        const uint32_t qpred = qpred_name.ok()
-                                   ? vocab->FindPredicate(*qpred_name)
-                                   : StringPool::kNotFound;
-        need = qpred == StringPool::kNotFound || closure.count(qpred) > 0;
-      }
-      if (need) recompute.insert(name);
-    }
-  }
-  for (const std::string& name : names) {
-    if (prev_index.find(name) == prev_index.end()) recompute.insert(name);
-  }
-
-  struct RelationOutcome {
-    Status hard_error;
-    bool computed = false;
-    Status failure;
-    int attempts = 0;
-    std::optional<QualityMeasures> measures;
-    std::optional<Relation> quality;
-    std::optional<Relation> dirty;
-  };
-  std::vector<RelationOutcome> outcomes(names.size());
-
-  // Identical fault-isolation scheme to Assess, reading the session's
-  // database (the updated one) and materialized instance.
-  auto assess_one = [&](const std::string& name, RelationOutcome* out) {
-    Result<const Relation*> orig = session.database().GetRelation(name);
-    if (!orig.ok()) {
-      out->hard_error = orig.status();
-      return;
-    }
-    const Relation* original = *orig;
-    Status failure;
-    double scale = 1.0;
-    for (int attempt = 0; attempt <= opts.max_retries;
-         ++attempt, scale *= opts.escalation_factor) {
-      ++out->attempts;
-      ExecutionBudget rb;
-      if (opts.budget != nullptr) rb.InheritControlsFrom(*opts.budget);
-      if (opts.fault_injector != nullptr) {
-        rb.set_fault_injector(opts.fault_injector);
-      }
-      if (opts.per_relation_max_facts > 0) {
-        rb.set_max_facts(static_cast<uint64_t>(
-            static_cast<double>(opts.per_relation_max_facts) * scale));
-      }
-      if (opts.per_relation_max_steps > 0) {
-        rb.set_max_steps(static_cast<uint64_t>(
-            static_cast<double>(opts.per_relation_max_steps) * scale));
-      }
-      failure = rb.CheckNow("assessor:relation");
-      if (failure.ok()) {
-        Status interruption;
-        Result<Relation> r = session.QualityVersion(name, &rb, &interruption);
-        if (r.ok() && interruption.ok()) {
-          out->quality = std::move(r).value();
-          out->computed = true;
-          break;
-        }
-        failure = r.ok() ? std::move(interruption) : r.status();
-      }
-      if (!ExecutionBudget::IsTruncation(failure)) break;
-      if (failure.code() == StatusCode::kCancelled) break;
-    }
-    if (!out->computed) {
-      out->failure = std::move(failure);
-      return;
-    }
-    Result<QualityMeasures> m = Measure(*original, *out->quality);
-    if (!m.ok()) {
-      out->hard_error = m.status();
-      return;
-    }
-    Result<Relation> dirty = original->Minus(*out->quality);
-    if (!dirty.ok()) {
-      out->hard_error = dirty.status();
-      return;
-    }
-    out->measures = std::move(*m);
-    out->dirty = std::move(*dirty);
-  };
-
-  std::vector<size_t> todo;
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (recompute.count(names[i]) > 0) todo.push_back(i);
-  }
-  const bool parallel = opts.pool != nullptr && todo.size() > 1;
-  if (parallel) {
-    opts.pool->ParallelFor(
-        todo.size(), [&](size_t k) {
-          assess_one(names[todo[k]], &outcomes[todo[k]]);
-        });
-  }
-
-  size_t total_original = 0;
-  size_t total_common = 0;
-  Status cancelled;
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (recompute.count(names[i]) == 0) {
-      // Untouched by the update: copy the previous entry verbatim.
-      const size_t p = prev_index.at(names[i]);
-      total_original += previous.per_relation[p].original_size;
-      total_common += previous.per_relation[p].common;
-      report.per_relation.push_back(previous.per_relation[p]);
-      report.quality_versions.push_back(previous.quality_versions[p]);
-      report.dirty_tuples.push_back(previous.dirty_tuples[p]);
-      continue;
-    }
-    RelationOutcome& out = outcomes[i];
-    if (!cancelled.ok()) {
-      if (!parallel || !out.computed) {
-        report.degraded.push_back(RelationFailure{names[i], cancelled, 0});
+    for (size_t i = 0; i < names.size(); ++i) {
+      const std::string& name = names[i];
+      auto prev = prev_index.find(name);
+      if (prev == prev_index.end()) continue;
+      if (std::find(updated.begin(), updated.end(), name) != updated.end()) {
         continue;
       }
-    } else if (!parallel) {
-      assess_one(names[i], &out);
-    }
-    MDQA_RETURN_IF_ERROR(out.hard_error);
-    if (!out.computed) {
-      note_truncated(out.failure);
-      if (out.failure.code() == StatusCode::kCancelled) {
-        cancelled = out.failure;
+      Result<std::string> qpred_name = context_->QualityPredicateOf(name);
+      const uint32_t qpred = qpred_name.ok()
+                                 ? vocab->FindPredicate(*qpred_name)
+                                 : StringPool::kNotFound;
+      if (qpred != StringPool::kNotFound && closure.count(qpred) == 0) {
+        reuse[i] = prev->second;
       }
-      report.degraded.push_back(
-          RelationFailure{names[i], std::move(out.failure), out.attempts});
-      continue;
     }
-    total_original += out.measures->original_size;
-    total_common += out.measures->common;
-    report.per_relation.push_back(std::move(*out.measures));
-    report.quality_versions.push_back(std::move(*out.quality));
-    report.dirty_tuples.push_back(std::move(*out.dirty));
   }
-  report.overall_precision =
-      total_original == 0 ? 1.0
-                          : static_cast<double>(total_common) /
-                                static_cast<double>(total_original);
+
+  // The session's database (the updated one) and materialized instance.
+  QualitySource source = [&session](const std::string& name,
+                                    ExecutionBudget* rb,
+                                    Status* interruption) {
+    return session.QualityVersion(name, rb, interruption);
+  };
+  MDQA_RETURN_IF_ERROR(AssessRelations(names, reuse, previous,
+                                       session.database(), source, opts.pool,
+                                       opts, &report));
   return report;
 }
 

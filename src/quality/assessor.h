@@ -97,8 +97,9 @@ struct AssessOptions {
   qa::Engine engine = qa::Engine::kChase;
   /// Global budget for the run: its deadline, cancellation token, and
   /// fault injector also govern every per-relation computation (via
-  /// derived budgets), and the initial materialization charges against
-  /// it directly. Not owned.
+  /// derived budgets; the probe "assessor:relation" fires once per
+  /// relation attempt), and the initial materialization charges against
+  /// it directly. Null = unlimited. Not owned.
   ExecutionBudget* budget = nullptr;
   /// Per-relation counter caps (0 = uncapped). Each relation's quality
   /// version is computed under its own derived budget with these caps,
@@ -110,10 +111,6 @@ struct AssessOptions {
   /// attempt, before being degraded to a RelationFailure entry.
   int max_retries = 1;
   double escalation_factor = 4.0;
-  /// Extra fault injector applied to per-relation budgets (probe
-  /// "assessor:relation" fires once per relation gate). Takes precedence
-  /// over `budget`'s injector for those probes when set. Not owned.
-  FaultInjector* fault_injector = nullptr;
   /// Pre-run static analysis gate: lints the compiled contextual program
   /// and the ontology before any chase work. Error-level findings abort
   /// the run with kFailedPrecondition (the rendered diagnostics ride in

@@ -272,6 +272,9 @@ TEST(ChaseBudget, PreCancelledTokenStopsImmediately) {
   EXPECT_EQ(stats.completeness, Completeness::kTruncated);
   EXPECT_EQ(stats.stop, ChaseStop::kCancelled);
   EXPECT_EQ(stats.interruption.code(), StatusCode::kCancelled);
+  // The first round was refused, so none is counted.
+  EXPECT_EQ(stats.rounds, 0u);
+  EXPECT_EQ(stats.tgd_firings, 0u);
 }
 
 TEST(ChaseBudget, InjectedHardFaultIsARealError) {
@@ -289,13 +292,32 @@ TEST(ChaseBudget, InjectedHardFaultIsARealError) {
       << "non-budget faults must not be absorbed as truncation";
 }
 
-TEST(ChaseBudget, LegacyResultApiStillErrsOnMaxFacts) {
+// A round counts only once the budget admits it: a trip at the start of
+// a round leaves the count at the last round that ran.
+TEST(ChaseBudget, PreCancelledExtendReportsTheSeedLevel) {
   Program program = TransitiveClosure();
-  ChaseOptions options;
-  options.max_facts = 2;
   Instance inst = Instance::FromProgram(program);
-  auto stats = datalog::Chase::Run(program, &inst, options);
-  EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
+  ChaseStats base;
+  ASSERT_TRUE(
+      datalog::Chase::Run(program, &inst, ChaseOptions(), &base).ok());
+  ASSERT_TRUE(base.frontier.valid);
+
+  CancellationToken token;
+  token.Cancel();
+  ExecutionBudget budget;
+  budget.set_cancellation(&token);
+  ChaseOptions options;
+  options.budget = &budget;
+  auto delta = Parser::ParseGroundAtom("E(6, 7)", program.mutable_vocab());
+  ASSERT_TRUE(delta.ok()) << delta.status();
+  ChaseStats stats;
+  ASSERT_TRUE(datalog::Chase::Extend(program, &inst, base.frontier, {*delta},
+                                     options, &stats)
+                  .ok());
+  EXPECT_EQ(stats.stop, ChaseStop::kCancelled);
+  // The delta was seeded one level above the frontier; no round ran.
+  EXPECT_EQ(stats.rounds, base.frontier.round + 1);
+  EXPECT_EQ(stats.tgd_firings, 0u);
 }
 
 // --- The three engines return sound partial answer sets ---
@@ -530,8 +552,10 @@ TEST(AssessorDegradation, OneFailedRelationDoesNotSinkTheReport) {
   FaultInjector faults;
   faults.Arm("assessor:relation", 1,
              Status::ResourceExhausted("injected relation fault"), 2);
+  ExecutionBudget budget;
+  budget.set_fault_injector(&faults);
   quality::AssessOptions options;
-  options.fault_injector = &faults;
+  options.budget = &budget;
   options.max_retries = 1;
   auto report = quality::Assessor(&context).Assess(options);
   ASSERT_TRUE(report.ok()) << report.status();
@@ -559,8 +583,10 @@ TEST(AssessorDegradation, RetryUnderEscalatedBudgetRecovers) {
   FaultInjector faults;
   faults.Arm("assessor:relation", 1,
              Status::ResourceExhausted("transient fault"));
+  ExecutionBudget budget;
+  budget.set_fault_injector(&faults);
   quality::AssessOptions options;
-  options.fault_injector = &faults;
+  options.budget = &budget;
   options.max_retries = 1;
   auto report = quality::Assessor(&context).Assess(options);
   ASSERT_TRUE(report.ok()) << report.status();

@@ -36,13 +36,15 @@ TEST(ChaseQa, CertainAnswersExcludeNulls) {
 
 TEST(ChaseQa, BooleanEntailmentThroughNulls) {
   // This program's chase is infinite (each null gets a parent); a small
-  // level bound suffices for the query.
+  // level bound — the budget's round cap — suffices for the query.
   Program p = Parse(
       "Person(\"ann\").\n"
       "HasParent(X, Z) :- Person(X).\n"
       "Person(Z) :- HasParent(X, Z).\n");
+  ExecutionBudget budget;
+  budget.set_max_rounds(4);
   datalog::ChaseOptions options;
-  options.max_rounds = 4;
+  options.budget = &budget;
   auto qa = ChaseQa::Create(p, options);
   ASSERT_TRUE(qa.ok()) << qa.status();
   // "Someone has a parent who is a person" — witnessed by the null.
@@ -71,8 +73,10 @@ TEST(ChaseQa, LevelBoundedChaseUnderApproximates) {
       "E(1, 2). E(2, 3). E(3, 4). E(4, 5).\n"
       "T(X, Y) :- E(X, Y).\n"
       "T(X, Z) :- T(X, Y), E(Y, Z).\n");
+  ExecutionBudget budget;
+  budget.set_max_rounds(2);
   datalog::ChaseOptions options;
-  options.max_rounds = 2;
+  options.budget = &budget;
   auto qa = ChaseQa::Create(p, options);
   ASSERT_TRUE(qa.ok());
   EXPECT_FALSE(qa->stats().reached_fixpoint);

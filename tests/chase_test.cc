@@ -76,23 +76,20 @@ TEST(Chase, RestrictedChaseSkipsSatisfiedHeads) {
 }
 
 TEST(Chase, InfiniteChaseHitsRoundBudget) {
-  // R(x,y) -> exists z R(y,z): classic non-terminating chase.
+  // R(x,y) -> exists z R(y,z): classic non-terminating chase. The round
+  // cap is the level bound: the eleventh round is refused, not counted.
+  ExecutionBudget budget;
+  budget.set_max_rounds(10);
   ChaseOptions options;
-  options.max_rounds = 10;
+  options.budget = &budget;
   options.check_constraints = false;
   auto run = RunChase("R(1, 2).\nR(Y, Z) :- R(X, Y).\n", options);
   ASSERT_TRUE(run.stats.ok()) << run.stats.status();
   EXPECT_FALSE(run.stats->reached_fixpoint);
+  EXPECT_EQ(run.stats->stop, ChaseStop::kBudget);
   EXPECT_EQ(run.stats->rounds, 10u);
+  EXPECT_EQ(run.stats->tgd_firings, 10u);
   EXPECT_EQ(Count(run, "R"), 11u);  // one new fact per level
-}
-
-TEST(Chase, MaxFactsBudget) {
-  ChaseOptions options;
-  options.max_facts = 5;
-  auto run = RunChase("R(1, 2).\nR(Y, Z) :- R(X, Y).\n", options);
-  ASSERT_FALSE(run.stats.ok());
-  EXPECT_EQ(run.stats.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(Chase, DerivationLevelsMatchRounds) {
@@ -422,19 +419,21 @@ TEST(Chase, ProjectingRuleWithManyMatchesPerTrigger) {
 }
 
 TEST(Chase, MaxFactsTripsOnExistentialFreeRecursion) {
-  // 4 edges plus a running count of derived T facts: the third firing of
-  // the first round takes the instance to 7 > max_facts = 6.
+  // The budget counts derived facts: the third firing of the first round
+  // derives a third T fact, over the cap of 2.
   auto p = Parser::ParseProgram(
       "E(1, 2). E(2, 3). E(3, 4). E(4, 5).\n"
       "T(X, Y) :- E(X, Y).\n"
       "T(X, Z) :- T(X, Y), E(Y, Z).\n");
   ASSERT_TRUE(p.ok()) << p.status();
+  ExecutionBudget budget;
+  budget.set_max_facts(2);
   ChaseOptions options;
-  options.max_facts = 6;
+  options.budget = &budget;
   Instance instance = Instance::FromProgram(*p);
   ChaseStats stats;
   ASSERT_TRUE(Chase::Run(*p, &instance, options, &stats).ok());
-  EXPECT_EQ(stats.stop, ChaseStop::kFactLimit);
+  EXPECT_EQ(stats.stop, ChaseStop::kBudget);
   EXPECT_EQ(stats.completeness, Completeness::kTruncated);
   EXPECT_FALSE(stats.reached_fixpoint);
   EXPECT_EQ(stats.rounds, 1u);
@@ -442,11 +441,50 @@ TEST(Chase, MaxFactsTripsOnExistentialFreeRecursion) {
   EXPECT_EQ(stats.facts_added, 3u);
   EXPECT_EQ(instance.TotalFacts(), 7u);
 
-  // The legacy overload reports the same trip as an error.
+  // The by-value overload reports the same trip as a truncated result;
+  // the budget's counters carry over until they are reset.
+  budget.ResetUsage();
   Instance again = Instance::FromProgram(*p);
-  Result<ChaseStats> legacy = Chase::Run(*p, &again, options);
-  ASSERT_FALSE(legacy.ok());
-  EXPECT_EQ(legacy.status().code(), StatusCode::kResourceExhausted);
+  Result<ChaseStats> by_value = Chase::Run(*p, &again, options);
+  ASSERT_TRUE(by_value.ok()) << by_value.status();
+  EXPECT_EQ(by_value->completeness, Completeness::kTruncated);
+  EXPECT_EQ(by_value->facts_added, 3u);
+}
+
+// Labeled-null ids stay below UINT32_MAX, the parser's `_n<k>` range: a
+// chase that needs one past it fails instead of wrapping onto `_n0` (with
+// the second program, `Q(X) :- R(X, Z), P(Z).` would then answer 2).
+TEST(Chase, NullIdExhaustionIsAHardError) {
+  for (const char* text :
+       {"P(_n4294967294). A(1). A(2). A(3).\nR(X, Z) :- A(X).\n",
+        "P(_n0). P(_n4294967294). A(1). A(2).\nR(X, Z) :- A(X).\n"}) {
+    auto p = Parser::ParseProgram(text);
+    ASSERT_TRUE(p.ok()) << p.status();
+    Instance instance = Instance::FromProgram(*p);
+    ChaseStats stats;
+    Status s = Chase::Run(*p, &instance, ChaseOptions(), &stats);
+    EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << text;
+    EXPECT_NE(s.message().find("null ids exhausted"), std::string::npos)
+        << s;
+    EXPECT_EQ(stats.nulls_created, 0u);
+  }
+
+  // Extend mints through the same path.
+  auto base = Parser::ParseProgram(
+      "P(_n4294967294).\nR(X, Z) :- A(X).\n");
+  ASSERT_TRUE(base.ok()) << base.status();
+  Instance extended = Instance::FromProgram(*base);
+  ChaseStats base_stats;
+  ASSERT_TRUE(
+      Chase::Run(*base, &extended, ChaseOptions(), &base_stats).ok());
+  ASSERT_TRUE(base_stats.frontier.valid);
+  auto delta = Parser::ParseGroundAtom("A(1)", base->mutable_vocab());
+  ASSERT_TRUE(delta.ok()) << delta.status();
+  ChaseStats extend_stats;
+  Status s = Chase::Extend(*base, &extended, base_stats.frontier, {*delta},
+                           ChaseOptions(), &extend_stats);
+  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(s.message().find("null ids exhausted"), std::string::npos) << s;
 }
 
 TEST(Chase, SatisfiedExtendLeavesHeadTableShared) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "datalog/parser.h"
 #include "datalog/unify.h"
 
@@ -136,9 +138,9 @@ TEST_F(CqEvalTest, NullsJoinOnlyWithThemselves) {
   Vocabulary* vocab = program_->mutable_vocab();
   ASSERT_TRUE(vocab->InternPredicate("N", 1).ok());
   uint32_t pred = vocab->FindPredicate("N");
-  Term null0 = vocab->FreshNull();
+  Term null0 = *vocab->FreshNull();
   instance_->AddFact(Atom(pred, {null0}), 1);
-  instance_->AddFact(Atom(pred, {vocab->FreshNull()}), 1);
+  instance_->AddFact(Atom(pred, {*vocab->FreshNull()}), 1);
 
   // Self-join through the same variable: each null matches itself only.
   EXPECT_EQ(Ask("Q(X) :- N(X), N(X).").size(), 2u);
@@ -250,6 +252,70 @@ TEST_F(CqEvalTest, SatisfiableShortCircuits) {
   auto sat = eval.Satisfiable(q->body, q->comparisons, Subst{});
   ASSERT_TRUE(sat.ok());
   EXPECT_TRUE(*sat);
+}
+
+// The interruption contract of Answers and AnswerBoolean. With the
+// out-param, a budget trip returns what was found so far (sound) plus
+// the truncation status. Without it, failing with that status is the
+// only way the caller can learn the result is partial, so the call
+// fails. P has 200 rows; a 64-step cap trips at the second poll, after
+// 128 rows.
+class CqEvalBudgetTest : public CqEvalTest {
+ protected:
+  void SetUp() override {
+    std::string facts;
+    for (int i = 0; i < 200; ++i) facts += "P(" + std::to_string(i) + "). ";
+    Load(facts);
+    budget_.set_max_steps(64);
+  }
+
+  ConjunctiveQuery Query(const std::string& text) {
+    auto q = Parser::ParseQuery(text, program_->mutable_vocab());
+    EXPECT_TRUE(q.ok()) << q.status();
+    return q.ok() ? std::move(q).value() : ConjunctiveQuery{};
+  }
+
+  ExecutionBudget budget_;
+};
+
+TEST_F(CqEvalBudgetTest, AnswersTripReturnsSubsetWithOutParamElseFails) {
+  const ConjunctiveQuery q = Query("Q(X) :- P(X).");
+  const std::vector<std::vector<Term>> full = Ask("Q(X) :- P(X).");
+  ASSERT_EQ(full.size(), 200u);
+
+  CqEvaluator eval(*instance_, nullptr, &budget_);
+  Status interruption;
+  auto partial = eval.Answers(q, &interruption);
+  ASSERT_TRUE(partial.ok()) << partial.status();
+  EXPECT_EQ(interruption.code(), StatusCode::kResourceExhausted);
+  EXPECT_GT(partial->size(), 0u);
+  EXPECT_LT(partial->size(), full.size());
+  for (const std::vector<Term>& tuple : *partial) {
+    EXPECT_NE(std::find(full.begin(), full.end(), tuple), full.end());
+  }
+
+  budget_.ResetUsage();
+  auto failed = eval.Answers(q);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().ToString(), interruption.ToString());
+}
+
+TEST_F(CqEvalBudgetTest, AnswerBooleanTripReportsFalseWithOutParamElseFails) {
+  // No row satisfies the comparison, so only a full scan proves "no".
+  const ConjunctiveQuery q = Query("Q() :- P(X), X > 500.");
+  EXPECT_FALSE(AskBool("Q() :- P(X), X > 500."));
+
+  CqEvaluator eval(*instance_, nullptr, &budget_);
+  Status interruption;
+  auto partial = eval.AnswerBoolean(q, &interruption);
+  ASSERT_TRUE(partial.ok()) << partial.status();
+  EXPECT_FALSE(*partial);
+  EXPECT_EQ(interruption.code(), StatusCode::kResourceExhausted);
+
+  budget_.ResetUsage();
+  auto failed = eval.AnswerBoolean(q);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().ToString(), interruption.ToString());
 }
 
 }  // namespace

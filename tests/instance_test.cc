@@ -144,7 +144,7 @@ TEST(Instance, ExportRelationDropsOrKeepsNulls) {
   uint32_t pred = vocab->FindPredicate("P");
   Instance inst(vocab);
   inst.AddFact(Atom(pred, {vocab->Str("a"), vocab->Str("b")}), 0);
-  inst.AddFact(Atom(pred, {vocab->Str("c"), vocab->FreshNull()}), 1);
+  inst.AddFact(Atom(pred, {vocab->Str("c"), *vocab->FreshNull()}), 1);
 
   auto certain = inst.ExportRelation(pred, "P", {"x", "y"}, false);
   ASSERT_TRUE(certain.ok());
@@ -177,7 +177,7 @@ TEST(Instance, ExportRelationRendersNullsWhenKept) {
   ASSERT_TRUE(vocab->InternPredicate("P", 2).ok());
   uint32_t pred = vocab->FindPredicate("P");
   Instance inst(vocab);
-  Term null = vocab->FreshNull();
+  Term null = *vocab->FreshNull();
   inst.AddFact(Atom(pred, {vocab->Str("a"), null}), 1);
 
   auto dropped = inst.ExportRelation(pred, "P", {"x", "y"}, false);
@@ -323,8 +323,8 @@ TEST(Vocabulary, FreshVariablesNeverCollideWithParsedOnes) {
 
 TEST(Vocabulary, FreshNullsAreSequential) {
   Vocabulary vocab;
-  Term n0 = vocab.FreshNull();
-  Term n1 = vocab.FreshNull();
+  Term n0 = *vocab.FreshNull();
+  Term n1 = *vocab.FreshNull();
   EXPECT_NE(n0, n1);
   EXPECT_EQ(vocab.NumNulls(), 2u);
   EXPECT_EQ(vocab.TermToString(n0), "_n0");

@@ -251,7 +251,7 @@ TEST(Parser, NullLiteralsRoundTrip) {
   EXPECT_EQ(f.terms[1].id(), 0u);
   EXPECT_EQ(f.terms[2].id(), 3u);
   // Fresh nulls minted afterwards never collide with parsed ones.
-  EXPECT_GE(p->mutable_vocab()->FreshNull().id(), 4u);
+  EXPECT_GE(p->mutable_vocab()->FreshNull()->id(), 4u);
   // And the printed form re-parses identically.
   auto p2 = Parser::ParseProgram(p->ToString());
   ASSERT_TRUE(p2.ok()) << p2.status();
@@ -284,6 +284,21 @@ TEST(Vocabulary, ReserveNullsThroughSaturates) {
   Vocabulary vocab;
   vocab.ReserveNullsThrough(std::numeric_limits<uint32_t>::max());
   EXPECT_EQ(vocab.NumNulls(), std::numeric_limits<uint32_t>::max());
+}
+
+// Minting hands out ids up to UINT32_MAX - 1, the largest `_n<k>` the
+// parser accepts, then refuses rather than wrapping onto `_n0`.
+TEST(Vocabulary, FreshNullRefusesToWrap) {
+  constexpr uint32_t kMax = std::numeric_limits<uint32_t>::max();
+  Vocabulary vocab;
+  vocab.ReserveNullsThrough(kMax - 2);
+  Result<Term> last = vocab.FreshNull();
+  ASSERT_TRUE(last.ok()) << last.status();
+  EXPECT_EQ(last->id(), kMax - 1);
+  Result<Term> past = vocab.FreshNull();
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(vocab.NumNulls(), kMax);
 }
 
 TEST(Parser, UnderscoreNamesThatAreNotNullsStayVariables) {

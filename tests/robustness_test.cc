@@ -267,8 +267,10 @@ TEST(AssessorFaultIsolation, DegradedReportStaysWellFormed) {
   faults.Arm("assessor:relation", 1,
              Status::ResourceExhausted("injected overload"),
              FaultInjector::kAlways);
+  ExecutionBudget budget;
+  budget.set_fault_injector(&faults);
   quality::AssessOptions options;
-  options.fault_injector = &faults;
+  options.budget = &budget;
   options.max_retries = 2;
   auto report = quality::Assessor(&*context).Assess(options);
   ASSERT_TRUE(report.ok()) << report.status();

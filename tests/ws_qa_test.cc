@@ -167,19 +167,27 @@ TEST(DeterministicWsQa, DepthBoundTruncatesDeepProofs) {
   EXPECT_TRUE(*deep.AnswerBoolean(*q2));
 }
 
-TEST(DeterministicWsQa, StepBudgetSurfacesResourceExhausted) {
-  Program p = Parse(
-      "E(1, 2). E(2, 3). E(3, 4).\n"
-      "T(X, Y) :- E(X, Y).\n"
-      "T(X, Z) :- T(X, Y), T(Y, Z).\n");
-  WsQaOptions options;
-  options.max_steps = 5;
-  DeterministicWsQa qa(p, options);
-  auto q = Parser::ParseQuery("Q(X, Y) :- T(X, Y).", p.mutable_vocab());
-  ASSERT_TRUE(q.ok());
-  auto answers = qa.Answers(*q);
-  ASSERT_FALSE(answers.ok());
-  EXPECT_EQ(answers.status().code(), StatusCode::kResourceExhausted);
+// Labeled-null ids stay below UINT32_MAX, the parser's `_n<k>` range: a
+// proof that needs a fresh null past it fails instead of wrapping onto
+// `_n0` (which would answer the second query with `_n0`).
+TEST(DeterministicWsQa, NullIdExhaustionIsAHardError) {
+  for (const auto& [program, query] :
+       {std::pair<const char*, const char*>{
+            "P(_n4294967294). A(1). A(2). A(3).\nR(X, Z) :- A(X).\n",
+            "Q(Z) :- R(X, Z)."},
+        {"P(_n0). P(_n4294967294). A(1). A(2).\nR(X, Z) :- A(X).\n",
+         "Q(Z) :- R(X, Z), P(Z)."}}) {
+    Program p = Parse(program);
+    DeterministicWsQa qa(p);
+    auto q = Parser::ParseQuery(query, p.mutable_vocab());
+    ASSERT_TRUE(q.ok()) << q.status();
+    auto answers = qa.PossibleAnswers(*q);
+    ASSERT_FALSE(answers.ok()) << program;
+    EXPECT_EQ(answers.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(answers.status().message().find("null ids exhausted"),
+              std::string::npos)
+        << answers.status();
+  }
 }
 
 TEST(DeterministicWsQa, InfiniteProgramStaysBounded) {
