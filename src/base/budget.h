@@ -155,8 +155,8 @@ class ExecutionBudget {
 
   /// Deadline checks read the clock once per `stride` calls to `Check`
   /// (rounded up to a power of two so the hot path masks instead of
-  /// dividing; default 256 keeps the chase hot loop under ~2% overhead —
-  /// see bench_budget_overhead).
+  /// dividing; default 256 keeps clock reads off the chase's hot loop —
+  /// docs/robustness.md has the last overhead readings).
   void set_check_stride(uint32_t stride) {
     uint32_t pow2 = 1;
     while (pow2 < stride && pow2 < (1u << 30)) pow2 <<= 1;

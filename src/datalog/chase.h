@@ -32,7 +32,7 @@ struct ChaseOptions {
   /// run fail with kInconsistent and a witness.
   bool check_constraints = true;
   /// Use semi-naive (delta) evaluation. Naive mode exists for testing and
-  /// as a benchmark ablation.
+  /// as the X1 ablation (`mdqa_experiments X1`).
   bool semi_naive = true;
   /// Restricted chase (default): a trigger fires only when its head is
   /// not already satisfied. Setting this false gives the

@@ -1,8 +1,8 @@
 #ifndef MDQA_DATALOG_COLUMN_H_
 #define MDQA_DATALOG_COLUMN_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "datalog/term.h"
@@ -17,11 +17,12 @@ namespace mdqa::datalog {
 /// of hashed term handles — the VLog-style layout that makes the
 /// dimensional-navigation joins of the OMD assessment cheap.
 ///
-/// The encode map is keyed by a *lossy* term hash, so a probe can land in
-/// a bucket shared by several distinct terms; `CodeOf` therefore verifies
-/// every candidate code against the dictionary term before trusting it —
-/// a colliding 64-bit key must never alias two terms (the fact table's
-/// dedup index has the same discipline). Tests force total collision through
+/// The encode map is one flat array of codes by open addressing, keyed
+/// by a *lossy* term hash, so a probe chain can pass codes of several
+/// distinct terms; `CodeOf` therefore verifies every candidate code
+/// against the dictionary term before trusting it — a colliding 64-bit
+/// key must never alias two terms (the fact table's dedup index has the
+/// same layout and discipline). Tests force total collision through
 /// `set_hash_mask_for_test` to keep the verification load-bearing.
 class Column {
  public:
@@ -43,7 +44,7 @@ class Column {
   /// Distinct terms in this column (the dictionary size).
   size_t DistinctTerms() const { return dict_.size(); }
 
-  /// Dictionary code of `t`, or kNoCode when absent. Hash-bucket
+  /// Dictionary code of `t`, or kNoCode when absent. Probe-chain
   /// candidates are verified against the dictionary (see class comment).
   uint32_t CodeOf(Term t) const;
 
@@ -57,17 +58,29 @@ class Column {
   uint64_t MemoryEstimateBytes() const;
 
   /// Test-only: masks the encode-map hash so distinct terms collide
-  /// (mask 0 puts every term in one bucket). Call on an empty column —
-  /// changing the mask after appends would orphan existing buckets.
+  /// (mask 0 starts every term's probe chain at one slot). Call on an
+  /// empty column — changing the mask after appends would orphan the
+  /// codes already placed.
   void set_hash_mask_for_test(uint64_t mask) { hash_mask_ = mask; }
 
  private:
   uint64_t HashTerm(Term t) const { return TermHash{}(t) & hash_mask_; }
+  // Fibonacci-hashed start of `t`'s probe chain in `encode_`.
+  size_t HomeSlot(Term t) const {
+    return (HashTerm(t) * 0x9e3779b97f4a7c15ull) >> encode_shift_;
+  }
+  // Rebuilds `encode_` at `capacity` (a power of two) from `dict_`.
+  void Rehash(size_t capacity);
+  // Stores `code` in the first empty slot of its term's probe chain.
+  void Place(uint32_t code);
 
   std::vector<uint32_t> codes_;                  // row -> code
   std::vector<Term> dict_;                       // code -> term
   std::vector<std::vector<uint32_t>> postings_;  // code -> rows, ascending
-  std::unordered_map<uint64_t, std::vector<uint32_t>> encode_;  // hash->codes
+  // Encode map: codes by open addressing — power-of-two capacity, load
+  // <= 1/2, linear probing; kNoCode marks an empty slot.
+  std::vector<uint32_t> encode_;
+  int encode_shift_ = 64;  // 64 - log2(encode_.size())
   uint64_t hash_mask_ = ~0ull;
 };
 

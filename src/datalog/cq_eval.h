@@ -22,7 +22,7 @@ struct AtomLevelWindow {
 
 /// Profiling counters for one or more evaluations — wire a struct in via
 /// the evaluator's constructor to see where join time goes (used by the
-/// benchmarks and by tests asserting the planner uses indexes).
+/// C3 experiment and by tests asserting the planner uses indexes).
 struct EvalStats {
   uint64_t rows_tried = 0;     ///< candidate rows examined
   uint64_t atoms_matched = 0;  ///< successful atom unifications

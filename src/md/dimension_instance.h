@@ -39,8 +39,6 @@ class DimensionInstance {
   /// Members of `category`, in insertion order.
   std::vector<std::string> Members(const std::string& category) const;
 
-  size_t NumMembers() const { return member_category_.size(); }
-
   /// Immediate parents / children of a member.
   std::vector<std::string> ParentsOf(const std::string& member) const;
   std::vector<std::string> ChildrenOf(const std::string& member) const;

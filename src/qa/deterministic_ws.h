@@ -24,9 +24,8 @@ struct WsQaOptions {
   /// When non-null, every firing records its ground body witness (see
   /// datalog/provenance.h) — the materialized resolution proof schema.
   datalog::ProvenanceStore* provenance = nullptr;
-  /// Expansion memoization (goal pattern → depth/epoch). Disable only for
-  /// the ablation benchmark — without it, repeated subgoals re-derive
-  /// their subtrees.
+  /// Expansion memoization (goal pattern → depth/epoch). Disable only to
+  /// test it — without it, repeated subgoals re-derive their subtrees.
   bool use_memo = true;
   /// When non-null, the proof search polls this budget (probe "ws:step")
   /// and charges steps/materialized facts against it; it is the only

@@ -41,15 +41,13 @@ std::vector<std::string> QualityPredicates(const QualityContext& context) {
 
 // The pre-run gate Assess and Reassess share, over the compiled
 // `program`: records the planner's engine recommendation (costed on
-// `edb_stats`) and the engine the run uses — `engine`, or the
-// recommendation under `auto_engine` — then runs the lint gate and the
-// form-(1) referential check. kFailedPrecondition when error-level lint
-// findings refuse the run.
+// `edb_stats`) and `engine`, the engine the run uses, then runs the lint
+// gate and the form-(1) referential check. kFailedPrecondition when
+// error-level lint findings refuse the run.
 Status RunGate(const QualityContext& context, const datalog::Program& program,
                const datalog::ProgramAnalysis& analysis,
                datalog::InstanceStatistics edb_stats, qa::Engine engine,
-               bool auto_engine, const AssessOptions& opts,
-               AssessmentReport* report) {
+               const AssessOptions& opts, AssessmentReport* report) {
   report->program_class = analysis.ClassName();
   MDQA_ASSIGN_OR_RETURN(core::OntologyProperties properties,
                         context.ontology().Analyze());
@@ -62,7 +60,7 @@ Status RunGate(const QualityContext& context, const datalog::Program& program,
       qa::SelectEngine(program, analysis, select_options);
   report->engine_recommended = selection.engine;
   report->engine_reason = std::move(selection.reason);
-  report->engine_used = auto_engine ? report->engine_recommended : engine;
+  report->engine_used = engine;
   for (const qa::EngineCandidate& c : selection.candidates) {
     if (c.engine == report->engine_used) {
       report->predicted_cost = c.predicted_cost;
@@ -83,11 +81,10 @@ Status RunGate(const QualityContext& context, const datalog::Program& program,
     report->lint_errors = bag.errors();
     report->lint_warnings = bag.warnings();
     report->lint_text = bag.ToText();
-    if (bag.errors() > 0 && !opts.lint_warn_only) {
+    if (bag.errors() > 0) {
       return Status::FailedPrecondition(
           "lint gate: " + std::to_string(bag.errors()) +
-          " error-level finding(s) in the contextual program/ontology "
-          "(set lint_warn_only to proceed anyway):\n" +
+          " error-level finding(s) in the contextual program/ontology:\n" +
           bag.ToText());
     }
   }
@@ -155,10 +152,6 @@ Status AssessRelations(const std::vector<std::string>& names,
       ++out->attempts;
       ExecutionBudget rb;
       if (opts.budget != nullptr) rb.InheritControlsFrom(*opts.budget);
-      if (opts.per_relation_max_facts > 0) {
-        rb.set_max_facts(static_cast<uint64_t>(
-            static_cast<double>(opts.per_relation_max_facts) * scale));
-      }
       if (opts.per_relation_max_steps > 0) {
         rb.set_max_steps(static_cast<uint64_t>(
             static_cast<double>(opts.per_relation_max_steps) * scale));
@@ -388,7 +381,7 @@ Result<AssessmentReport> Assessor::Assess(const AssessOptions& opts) const {
       std::make_shared<const datalog::ProgramAnalysis>(program);
   MDQA_RETURN_IF_ERROR(RunGate(*context_, program, *program_analysis,
                                analysis::CostModel::CollectEdbStats(program),
-                               opts.engine, opts.auto_engine, opts, &report));
+                               opts.engine, opts, &report));
   const qa::Engine engine = report.engine_used;
 
   // One materialization serves both the constraint check and (when the
@@ -460,10 +453,10 @@ Result<AssessmentReport> Assessor::Reassess(const PreparedContext& session,
   // updates) — the report renders byte-identically to a full assessment.
   // The incremental path always reads the session's materialized
   // instance, so the engine used is the chase regardless of
-  // `auto_engine` (the recommendation is still recorded).
+  // `opts.engine` (the recommendation is still recorded).
   MDQA_RETURN_IF_ERROR(RunGate(*context_, program, session.analysis(),
                                session.EdbStatistics(), qa::Engine::kChase,
-                               /*auto_engine=*/false, opts, &report));
+                               opts, &report));
   // The session exists, so its (re-)chase passed the constraint check.
   report.constraint_check = Status::Ok();
   report.actual_cost = session.statistics().total_facts;

@@ -58,8 +58,7 @@ struct AssessmentReport {
   std::string program_class;
   /// Engine the run actually used.
   qa::Engine engine_used = qa::Engine::kChase;
-  /// Engine the cost-based planner recommends (== engine_used under
-  /// `auto_engine`), and why.
+  /// Engine the cost-based planner recommends, and why.
   qa::Engine engine_recommended = qa::Engine::kChase;
   std::string engine_reason;
   /// The planner's predicted cost of `engine_used` (deterministic work
@@ -101,28 +100,20 @@ struct AssessOptions {
   /// relation attempt), and the initial materialization charges against
   /// it directly. Null = unlimited. Not owned.
   ExecutionBudget* budget = nullptr;
-  /// Per-relation counter caps (0 = uncapped). Each relation's quality
-  /// version is computed under its own derived budget with these caps,
-  /// so one runaway relation cannot starve the others.
-  uint64_t per_relation_max_facts = 0;
+  /// Per-relation step cap (0 = uncapped). Each relation's quality
+  /// version is computed under its own derived budget with this cap, so
+  /// one runaway relation cannot starve the others.
   uint64_t per_relation_max_steps = 0;
   /// A relation whose budget trips is retried up to `max_retries` more
-  /// times, multiplying its counter caps by `escalation_factor` each
+  /// times, multiplying its step cap by `escalation_factor` each
   /// attempt, before being degraded to a RelationFailure entry.
   int max_retries = 1;
   double escalation_factor = 4.0;
   /// Pre-run static analysis gate: lints the compiled contextual program
   /// and the ontology before any chase work. Error-level findings abort
   /// the run with kFailedPrecondition (the rendered diagnostics ride in
-  /// the status message) unless `lint_warn_only` downgrades the refusal
-  /// to a report entry. Findings are recorded in the report either way.
+  /// the status message). Findings are recorded in the report either way.
   bool lint_gate = true;
-  bool lint_warn_only = false;
-  /// Adopt the engine the cost-based planner recommends (minimum
-  /// predicted cost among the engines that are sound for the program)
-  /// instead of `engine`. The recommendation is recorded in the report
-  /// even when this is off.
-  bool auto_engine = false;
   /// Drop TGDs the dead-rule analysis proves irrelevant (no influence on
   /// any quality predicate, EGD, constraint, or output predicate) before
   /// materializing — the chase then skips their consequences entirely.

@@ -14,7 +14,7 @@ using md::DimensionBuilder;
 
 namespace {
 
-// Deterministic ward assignment; no global randomness (benchmarks must be
+// Deterministic ward assignment; no global randomness (experiments must be
 // reproducible run to run).
 struct Lcg {
   uint64_t state;

@@ -28,8 +28,8 @@ class LatencyHistogram {
   std::atomic<uint64_t> buckets_[kBuckets] = {};
 };
 
-/// Operational counters for one server instance, exported at /stats and
-/// into BENCH_serve.json. All relaxed atomics — these are monotone tallies
+/// Operational counters for one server instance, exported at /stats.
+/// All relaxed atomics — these are monotone tallies
 /// read for observability, never for synchronization.
 struct ServerMetrics {
   std::atomic<uint64_t> connections_accepted{0};

@@ -26,7 +26,7 @@
 namespace mdqa::serve {
 
 /// Tuning knobs for one `AssessmentServer`. The defaults are sized for
-/// the soak/bench harnesses (loopback, hospital-scale KB); a production
+/// the soak test and perfbench's serve-mixed workload (loopback, hospital-scale KB); a production
 /// deployment would raise the quotas and caps together.
 struct ServerOptions {
   /// 0 picks an ephemeral port (read back with `port()`).

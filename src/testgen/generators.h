@@ -1,6 +1,6 @@
 // Seeded random program/query/workload generators shared by the
 // property-test harnesses (engines_property_test, parallel_diff_test,
-// incremental_diff_test, serve_soak_test) and the bench binaries.
+// incremental_diff_test, serve_soak_test) and perfbench.
 // Everything here is a pure function of its seed — no wall-clock
 // randomness — so any failing case reproduces from its test parameter
 // alone. Compiled once into the mdqa_testgen library (the definitions
@@ -73,8 +73,8 @@ struct ServeOp {
 /// delete valid once its insert was acknowledged). Tenant choice is
 /// skewed: ~half the ops come from "hot", the rest spread over
 /// `tenants - 1` cold tenants. Pure function of the seed — shared by
-/// tests/serve_soak_test.cc and bench/bench_serve.cc so a soak failure
-/// reproduces from (seed, op index) alone.
+/// tests/serve_soak_test.cc and perfbench's serve-mixed workload, so a
+/// soak failure reproduces from (seed, op index) alone.
 struct ServeWorkload {
   std::vector<ServeOp> ops;
 };

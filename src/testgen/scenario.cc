@@ -862,32 +862,4 @@ Result<VerdictScore> ScoreVerdicts(const quality::AssessmentReport& report,
   return score;
 }
 
-void WriteScenarioBenchRecords(
-    JsonWriter* w, const std::vector<ScenarioBenchRecord>& records) {
-  w->BeginArray();
-  for (const ScenarioBenchRecord& r : records) {
-    w->BeginObject();
-    w->Key("family").String(r.family);
-    w->Key("seed").Number(static_cast<int64_t>(r.seed));
-    w->Key("edb_rows").Number(r.edb_rows);
-    w->Key("chase_facts").Number(r.chase_facts);
-    w->Key("dirty_expected").Number(r.dirty_expected);
-    w->Key("engine_recommended").String(r.engine_recommended);
-    w->Key("engines").BeginArray();
-    for (size_t i = 0; i < r.engines.size(); ++i) {
-      w->BeginArray();
-      w->String(r.engines[i]);
-      w->Number(i < r.assess_ms.size() ? r.assess_ms[i] : 0.0);
-      w->EndArray();
-    }
-    w->EndArray();
-    w->Key("incremental_ms").Number(r.incremental_ms);
-    w->Key("full_reassess_ms").Number(r.full_reassess_ms);
-    w->Key("planner_pick_fastest").Bool(r.planner_pick_fastest);
-    w->Key("reports_identical").Bool(r.reports_identical);
-    w->EndObject();
-  }
-  w->EndArray();
-}
-
 }  // namespace mdqa::testgen

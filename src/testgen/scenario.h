@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "base/json.h"
 #include "base/result.h"
 #include "quality/assessor.h"
 #include "quality/context.h"
@@ -178,33 +177,6 @@ struct VerdictScore {
 Result<VerdictScore> ScoreVerdicts(const quality::AssessmentReport& report,
                                    const std::string& relation,
                                    const std::vector<TupleVerdict>& truth);
-
-/// One row of the BENCH_scenarios.json matrix (see bench_scenarios.cc).
-/// The schema is rendered by `WriteScenarioBenchRecords` and round-trip
-/// pinned by tests/json_test.cc.
-struct ScenarioBenchRecord {
-  std::string family;
-  uint32_t seed = 0;
-  size_t edb_rows = 0;          ///< database + contextual facts
-  size_t chase_facts = 0;       ///< materialized instance size
-  size_t dirty_expected = 0;
-  std::string engine_recommended;
-  /// Wall-clock per engine configuration, milliseconds. Parallel vectors.
-  std::vector<std::string> engines;
-  std::vector<double> assess_ms;
-  double incremental_ms = 0;    ///< Reassess after one update batch
-  double full_reassess_ms = 0;  ///< fresh Assess on the updated database
-  bool planner_pick_fastest = false;
-  bool reports_identical = false;  ///< serial == parallel == incremental
-};
-
-/// Renders `records` as the `"families"` array of BENCH_scenarios.json:
-/// an array of objects whose `"engines"` member is a nested array of
-/// `[name, assess_ms]` pairs. The writer must be inside an open object
-/// with a pending key situation handled by the caller (call
-/// `w->Key("families")` first).
-void WriteScenarioBenchRecords(JsonWriter* w,
-                               const std::vector<ScenarioBenchRecord>& records);
 
 }  // namespace mdqa::testgen
 

@@ -66,6 +66,30 @@ TEST(Column, TotalHashCollisionStillResolvesExactly) {
   EXPECT_EQ(c.CodeOf(Term::Null(0)), Column::kNoCode);
 }
 
+// Grows one column from 8 encode-map slots to 256K through every
+// rehash: each term keeps its code and absent terms miss — also under a
+// partial hash mask, where about 24 terms share each masked hash.
+TEST(Column, ManyRehashesKeepEveryCode) {
+  for (uint64_t mask : {~uint64_t{0}, uint64_t{0xfff}}) {
+    SCOPED_TRACE(mask);
+    Column c;
+    c.set_hash_mask_for_test(mask);
+    constexpr uint32_t kEach = 50000;
+    for (uint32_t i = 0; i < kEach; ++i) {
+      ASSERT_EQ(c.Append(Term::Null(i)), 2 * i);
+      ASSERT_EQ(c.Append(Term::Constant(i)), 2 * i + 1);
+    }
+    ASSERT_EQ(c.DistinctTerms(), size_t{2 * kEach});
+    for (uint32_t i = 0; i < kEach; ++i) {
+      ASSERT_EQ(c.CodeOf(Term::Null(i)), 2 * i);
+      ASSERT_EQ(c.CodeOf(Term::Constant(i)), 2 * i + 1);
+    }
+    EXPECT_EQ(c.CodeOf(Term::Null(kEach)), Column::kNoCode);
+    EXPECT_EQ(c.CodeOf(Term::Constant(kEach)), Column::kNoCode);
+    EXPECT_EQ(c.CodeOf(Term::Variable(0)), Column::kNoCode);
+  }
+}
+
 // --------------------------------------------------------------- Segment
 
 TEST(Segment, AppendsRowsColumnWise) {

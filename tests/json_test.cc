@@ -4,7 +4,6 @@
 
 #include "quality/assessor.h"
 #include "scenarios/hospital.h"
-#include "testgen/scenario.h"
 
 namespace mdqa {
 namespace {
@@ -208,132 +207,6 @@ TEST(JsonParse, DuplicateKeysPreservedFindReturnsFirst) {
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->Members().size(), 2u);
   EXPECT_DOUBLE_EQ(v->Find("k")->AsNumber(), 1.0);
-}
-
-// --- BENCH_scenarios.json schema round-trip ---------------------------
-//
-// The scenario benchmark artifact is written through JsonWriter
-// (testgen::WriteScenarioBenchRecords) and consumed by plotting scripts
-// through JsonValue::Parse. This pins the schema from both ends: the
-// writer's bytes must parse under default JsonLimits and yield the
-// original values through the navigation API, and tight limits must
-// reject the artifact with the right status instead of misreading it.
-
-std::string RenderScenarioArtifact(
-    const std::vector<testgen::ScenarioBenchRecord>& records) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("experiment").String("scenario_matrix");
-  w.Key("git_sha").String("0000000");
-  w.Key("hardware_threads").Number(int64_t{8});
-  w.Key("seed").Number(int64_t{1});
-  w.Key("families");
-  testgen::WriteScenarioBenchRecords(&w, records);
-  w.EndObject();
-  return w.TakeString();
-}
-
-std::vector<testgen::ScenarioBenchRecord> SampleScenarioRecords() {
-  testgen::ScenarioBenchRecord a;
-  a.family = "deep-homogeneous";
-  a.seed = 1;
-  a.edb_rows = 120;
-  a.chase_facts = 326;
-  a.dirty_expected = 4;
-  a.engine_recommended = "chase";
-  a.engines = {"chase", "chase-pool4", "deterministic-ws"};
-  a.assess_ms = {1.5, 0.9, 2.25};
-  a.incremental_ms = 0.25;
-  a.full_reassess_ms = 1.75;
-  a.planner_pick_fastest = true;
-  a.reports_identical = true;
-  testgen::ScenarioBenchRecord b;
-  b.family = "skewed-tenants";
-  b.seed = 1;
-  b.edb_rows = 90;
-  b.chase_facts = 234;
-  b.dirty_expected = 5;
-  b.engine_recommended = "chase";
-  b.engines = {"chase"};
-  b.assess_ms = {3.5};
-  b.reports_identical = false;
-  return {a, b};
-}
-
-TEST(ScenarioBenchJson, RoundTripUnderDefaultLimits) {
-  const std::string text = RenderScenarioArtifact(SampleScenarioRecords());
-  auto v = JsonValue::Parse(text);
-  ASSERT_TRUE(v.ok()) << v.status();
-  EXPECT_EQ(v->Find("experiment")->AsString(), "scenario_matrix");
-  EXPECT_DOUBLE_EQ(v->Find("seed")->AsNumber(), 1.0);
-  const JsonValue* families = v->Find("families");
-  ASSERT_NE(families, nullptr);
-  ASSERT_EQ(families->Items().size(), 2u);
-
-  const JsonValue& a = families->Items()[0];
-  EXPECT_EQ(a.Find("family")->AsString(), "deep-homogeneous");
-  EXPECT_DOUBLE_EQ(a.Find("edb_rows")->AsNumber(), 120.0);
-  EXPECT_DOUBLE_EQ(a.Find("chase_facts")->AsNumber(), 326.0);
-  EXPECT_DOUBLE_EQ(a.Find("dirty_expected")->AsNumber(), 4.0);
-  EXPECT_EQ(a.Find("engine_recommended")->AsString(), "chase");
-  // "engines" is a nested array of [name, assess_ms] pairs.
-  const JsonValue* engines = a.Find("engines");
-  ASSERT_NE(engines, nullptr);
-  ASSERT_EQ(engines->Items().size(), 3u);
-  EXPECT_EQ(engines->Items()[0].Items()[0].AsString(), "chase");
-  EXPECT_DOUBLE_EQ(engines->Items()[0].Items()[1].AsNumber(), 1.5);
-  EXPECT_EQ(engines->Items()[2].Items()[0].AsString(), "deterministic-ws");
-  EXPECT_DOUBLE_EQ(engines->Items()[2].Items()[1].AsNumber(), 2.25);
-  EXPECT_DOUBLE_EQ(a.Find("incremental_ms")->AsNumber(), 0.25);
-  EXPECT_DOUBLE_EQ(a.Find("full_reassess_ms")->AsNumber(), 1.75);
-  EXPECT_TRUE(a.Find("planner_pick_fastest")->AsBool());
-  EXPECT_TRUE(a.Find("reports_identical")->AsBool());
-
-  const JsonValue& b = families->Items()[1];
-  EXPECT_EQ(b.Find("family")->AsString(), "skewed-tenants");
-  ASSERT_EQ(b.Find("engines")->Items().size(), 1u);
-  EXPECT_DOUBLE_EQ(b.Find("engines")->Items()[0].Items()[1].AsNumber(), 3.5);
-  EXPECT_FALSE(b.Find("reports_identical")->AsBool());
-}
-
-TEST(ScenarioBenchJson, ShortAssessVectorPadsWithZero) {
-  // The writer tolerates a ragged engines/assess_ms pair (pads 0.0)
-  // rather than emitting malformed JSON.
-  testgen::ScenarioBenchRecord r;
-  r.family = "ragged-heterogeneous";
-  r.engines = {"chase", "deterministic-ws"};
-  r.assess_ms = {1.0};  // one entry short
-  const std::string text = RenderScenarioArtifact({r});
-  auto v = JsonValue::Parse(text);
-  ASSERT_TRUE(v.ok()) << v.status();
-  const JsonValue* engines = v->Find("families")->Items()[0].Find("engines");
-  ASSERT_EQ(engines->Items().size(), 2u);
-  EXPECT_DOUBLE_EQ(engines->Items()[1].Items()[1].AsNumber(), 0.0);
-}
-
-TEST(ScenarioBenchJson, TightDepthLimitTripsOnNestedEngineArrays) {
-  // Artifact nesting: root object > families array > record object >
-  // engines array > [name, ms] array = depth 5. A depth-4 cap must trip
-  // cleanly with kInvalidArgument, and depth 5 must pass.
-  const std::string text = RenderScenarioArtifact(SampleScenarioRecords());
-  JsonLimits tight;
-  tight.max_depth = 4;
-  auto rejected = JsonValue::Parse(text, tight);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  tight.max_depth = 5;
-  EXPECT_TRUE(JsonValue::Parse(text, tight).ok());
-}
-
-TEST(ScenarioBenchJson, TightByteLimitRejectsArtifactUpFront) {
-  const std::string text = RenderScenarioArtifact(SampleScenarioRecords());
-  JsonLimits tiny;
-  tiny.max_bytes = text.size() - 1;
-  auto rejected = JsonValue::Parse(text, tiny);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-  tiny.max_bytes = text.size();
-  EXPECT_TRUE(JsonValue::Parse(text, tiny).ok());
 }
 
 }  // namespace
