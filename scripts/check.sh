@@ -17,9 +17,12 @@
 #                               # exercises the thread-pool paths of the
 #                               # chase/assessor/rewriter under the full
 #                               # suite
-#   scripts/check.sh --lint     # add the lint pass: clang-tidy over src/
-#                               # (skipped when not installed) and
-#                               # mdqa_lint --werror over examples/scripts/
+#   scripts/check.sh --lint     # add the lint pass: every target built
+#                               # with -Werror in build-werror/ (so a new
+#                               # -Wall -Wextra warning fails), clang-tidy
+#                               # over src/ (skipped when not installed)
+#                               # and mdqa_lint --werror over
+#                               # examples/scripts/
 #   scripts/check.sh --analyze  # whole-program analysis pass: mdqa_lint
 #                               # --analyze --werror over every
 #                               # examples/scripts/*.dlg with the ASan/
@@ -300,6 +303,10 @@ fi
 
 if [[ $run_lint -eq 1 ]]; then
   echo "== lint =="
+  echo "-- -Werror build of every target (build-werror/)"
+  cmake -B build-werror -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+  cmake --build build-werror -j "$jobs"
+
   # Ensure a build tree with compile_commands.json and mdqa_lint exists.
   cmake -B build -S . >/dev/null
   cmake --build build -j "$jobs" --target mdqa_lint

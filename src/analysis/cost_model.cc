@@ -93,7 +93,7 @@ datalog::InstanceStatistics CostModel::CollectEdbStats(
   return stats;
 }
 
-CostModel::CostModel(const Program& program,
+CostModel::CostModel(const Program& /*program*/,
                      const datalog::ProgramAnalysis& analysis,
                      datalog::InstanceStatistics edb_stats)
     : edb_stats_(std::move(edb_stats)),

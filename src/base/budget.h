@@ -200,6 +200,11 @@ class ExecutionBudget {
   /// the configured limit.
   Status NoteMemory(uint64_t bytes);
 
+  /// Work charged so far. Each counter stays 0 unless its limit is set:
+  /// the unlimited fast path above returns before counting, so a caller
+  /// that wants counts sets the limit one below kUnlimited. Joins charge
+  /// steps in whole blocks of 64 rows, so `steps()` leaves out each
+  /// join's final partial block.
   uint64_t facts() const { return facts_.load(std::memory_order_relaxed); }
   uint64_t steps() const { return steps_.load(std::memory_order_relaxed); }
   uint64_t rounds() const {

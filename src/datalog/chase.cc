@@ -20,7 +20,10 @@ namespace {
 // whenever the row count reaches twice what the last call kept (and at
 // least kMinCompact), so a projecting rule (`Reach(X) :- Edge(X, Y).`,
 // one match per edge but one trigger per node) holds memory proportional
-// to its distinct triggers.
+// to its distinct triggers. A rule applied without the final SortUnique
+// (see Round) sees that compaction's sorted prefix followed by the rows
+// appended since, duplicates included: still a deterministic function
+// of the enumeration order.
 class TriggerRows {
  public:
   explicit TriggerRows(size_t width) : width_(width) {}
@@ -120,6 +123,12 @@ struct RulePlan {
   // Semi-oblivious mode: frontier bindings that already fired, across
   // rounds (full passes would otherwise refire them forever).
   std::set<std::vector<Term>> fired;
+  // The rule's last full pass that collected and applied to completion:
+  // its level (0 when none; chase rounds start at 1) and each body
+  // atom's table row count as it collected. Round reads it only in the
+  // round right after, so any later pass or skip makes it stale.
+  uint32_t full_pass_level = 0;
+  std::vector<size_t> full_pass_rows;
 };
 
 // Union-find over terms for EGD application. Constants are always roots;
@@ -266,12 +275,20 @@ bool HeadPresent(const Instance& instance, const Rule& rule,
 // share.
 class ChaseLoop {
  public:
-  ChaseLoop(const ChaseOptions& options, Instance* instance,
-            ChaseStats* stats)
+  ChaseLoop(const Program& program, const ChaseOptions& options,
+            Instance* instance, ChaseStats* stats)
       : options_(options),
         budget_(options.budget),
         instance_(instance),
-        stats_(stats) {}
+        stats_(stats),
+        sort_every_rule_(!options.restricted ||
+                         options.provenance != nullptr ||
+                         (options.egd_mode != EgdMode::kOff &&
+                          std::any_of(program.rules().begin(),
+                                      program.rules().end(),
+                                      [](const Rule& r) {
+                                        return r.IsEgd();
+                                      }))) {}
 
   // True once a truncation was recorded: stop gracefully, the instance
   // is a sound partial result. Hard faults return immediately instead.
@@ -349,6 +366,8 @@ class ChaseLoop {
   ExecutionBudget* budget_;
   Instance* instance_;
   ChaseStats* stats_;
+  // Every rule's triggers apply in sorted frontier order (see Round).
+  const bool sort_every_rule_;
   Status interrupt_ = Status::Ok();
 };
 
@@ -377,14 +396,34 @@ Status ChaseLoop::Round(const std::vector<RulePlan*>& plans, uint32_t level,
       triggers.Append(subst, plan->frontier);
       return true;
     };
+    std::vector<size_t> body_rows;  // a full pass's record, as it collects
     if (full_pass) {
+      for (const Atom& a : rule.body) {
+        body_rows.push_back(instance_->CountFacts(a.predicate));
+      }
       MDQA_RETURN_IF_ERROR(Absorb(eval.Enumerate(
           rule.body, rule.negated, rule.comparisons, Subst{}, {}, collect)));
     } else {
       // Semi-naive: one pass per delta atom d — atom d restricted to the
       // previous round's facts, atoms before d to strictly older ones.
       const uint32_t prev = level - 1;
-      for (size_t d = 0; d < rule.body.size() && !interrupted(); ++d) {
+      // Right after this rule's full pass at `prev`, pass d can only
+      // re-find that pass's matches when no body table at d or later has
+      // grown since: atoms before d are windowed to rows older than
+      // `prev`, which existed when it collected. It applied every such
+      // trigger, so each one's head is now present (restricted) or its
+      // frontier fired (semi-oblivious), and the pass would fire nothing.
+      // An EGD merge rewrites rows in place, but forces the next round
+      // full; negated predicates sit in lower, fixed strata.
+      size_t passes = rule.body.size();
+      if (plan->full_pass_level == prev) {
+        while (passes > 0 && instance_->CountFacts(
+                                 rule.body[passes - 1].predicate) ==
+                                 plan->full_pass_rows[passes - 1]) {
+          --passes;
+        }
+      }
+      for (size_t d = 0; d < passes && !interrupted(); ++d) {
         if (!touched(rule.body[d])) continue;  // its window is empty
         std::vector<AtomLevelWindow> windows(rule.body.size());
         for (size_t j = 0; j < rule.body.size(); ++j) {
@@ -406,9 +445,26 @@ Status ChaseLoop::Round(const std::vector<RulePlan*>& plans, uint32_t level,
     // Canonical apply order: sorted on frontier bindings. This makes the
     // firing order — and with it null numbering, restricted-chase skips,
     // and the final instance — a function of the trigger *set* alone,
-    // independent of the order the passes enumerate it in.
-    triggers.SortUnique();
+    // independent of the order the passes enumerate it in. A restricted
+    // rule with one existential-free head atom needs no such order: that
+    // atom holds every frontier variable, so distinct triggers derive
+    // distinct rows, a repeated one finds its row present, and the
+    // firings and facts are the same in any order. Its triggers apply in
+    // collection order, which orders only its derived rows. Three cases
+    // keep the sort for every rule: a provenance witness is searched in
+    // the pre-firing instance, so for a recursive rule it can use a row
+    // fired earlier in the pass; which null an EGD merge keeps follows
+    // its body's row order; and the semi-oblivious chase, an ablation off
+    // every hot path, keeps its row order as it was.
+    if (sort_every_rule_ || rule.head.size() != 1 ||
+        !plan->existential.empty()) {
+      triggers.SortUnique();
+    }
     MDQA_RETURN_IF_ERROR(Apply(plan, triggers, level, gained));
+    if (full_pass && !interrupted()) {
+      plan->full_pass_level = level;
+      plan->full_pass_rows = std::move(body_rows);
+    }
   }
   return Status::Ok();
 }
@@ -549,7 +605,7 @@ Status Chase::Run(const Program& program, Instance* instance,
     by_stratum[stratum].push_back(&plan);
   }
 
-  ChaseLoop loop(options, instance, stats);
+  ChaseLoop loop(program, options, instance, stats);
   uint64_t merges = 0;
   if (options.egd_mode == EgdMode::kInterleaved) {
     MDQA_RETURN_IF_ERROR(loop.RunEgds(program, &merges));
@@ -729,7 +785,7 @@ Status Chase::Extend(const Program& program, Instance* instance,
     return Status::Ok();
   }
 
-  ChaseLoop loop(options, instance, stats);
+  ChaseLoop loop(program, options, instance, stats);
   // No deep copy of the rule set here (unlike Run): every rule was
   // already validated by Program::AddRule, and an extension is supposed
   // to be cheap relative to the program size. Rules are compiled lazily,

@@ -26,6 +26,12 @@ namespace mdqa::datalog {
 /// used for weakly-sticky query answering is a chase whose budget caps
 /// its rounds (`ExecutionBudget::set_max_rounds`).
 ///
+/// Rows keep insertion order. Within one chase pass a rule's derived rows
+/// land in sorted frontier order, except for a restricted-chase rule
+/// with one existential-free head atom in a run without provenance or
+/// EGDs, whose rows land in the join's enumeration order (see chase.cc,
+/// Round). Both are deterministic.
+///
 /// A table is segmented into a *frozen base* (rows below `frozen_rows()`,
 /// written before the last `MarkFrozen()`) and a *mutable overlay* (rows
 /// appended since). Insertion is append-only, so freezing is purely a
@@ -113,10 +119,13 @@ class FactTable {
   /// cloned table still count in full here (the estimate is per-view).
   uint64_t MemoryEstimateBytes() const;
 
-  /// Test-only: masks every hash key (dedup rows and column dictionary
-  /// terms) so distinct keys collide; mask 0 forces every key into one
-  /// bucket. Call on an empty table.
+  /// Test-only: masks every hash key (dedup rows, column dictionary terms,
+  /// and the join executor's batch hash index over this table) so
+  /// distinct keys collide; mask 0 forces every key into one probe chain.
+  /// Call on an empty table.
   void set_hash_mask_for_test(uint64_t mask);
+  /// The mask `set_hash_mask_for_test` set (all ones otherwise).
+  uint64_t hash_mask() const { return hash_mask_; }
 
  private:
   static constexpr uint32_t kEmptySlot = 0xffffffffu;
@@ -257,7 +266,8 @@ class Instance {
   /// permute. This order is part of the contract (asserted by
   /// instance_test): the differential harnesses and the first-derived
   /// ordering of CqEvaluator::Answers both key off row order being a
-  /// deterministic function of the insertion sequence.
+  /// deterministic function of the insertion sequence. It is not sorted:
+  /// chased tables follow the chase's apply order (see FactTable).
   std::vector<Atom> Facts(uint32_t pred) const;
 
   /// Loads every row of `rel` as facts of predicate `rel.name()`.

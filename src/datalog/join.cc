@@ -1,6 +1,7 @@
 #include "datalog/join.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
@@ -276,12 +277,32 @@ struct Block {
   size_t count = 0;
 };
 
-// Lazily built batch hash index for one depth: in-window rows keyed by
-// the hash of the bound-position term tuple. Built at most once per run
-// (the table is immutable during evaluation) and reused across chunks.
+// Lazily built batch hash index for one depth: the in-window rows grouped
+// by the 64-bit hash of their bound-position term tuple. One open-
+// addressing table of distinct keys (power-of-two capacity, load <= 1/2,
+// linear probing from a Fibonacci-hashed home slot) holds each key and
+// the first row of its chain; `next` links the rows sharing a key in
+// ascending row order. Built at most once per run (the table is
+// immutable during evaluation) and reused across chunks.
 struct HashIndex {
+  static constexpr uint32_t kEnd = 0xffffffffu;
+
+  // The first row whose key is `key`, or kEnd.
+  uint32_t First(uint64_t key) const { return heads[Slot(key)]; }
+
+  // The slot holding `key`, or the empty slot where its probe chain ends.
+  size_t Slot(uint64_t key) const {
+    const size_t mask = heads.size() - 1;
+    size_t s = (key * 0x9e3779b97f4a7c15ull) >> shift;
+    while (heads[s] != kEnd && keys[s] != key) s = (s + 1) & mask;
+    return s;
+  }
+
   bool built = false;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> map;
+  int shift = 63;               // 64 - log2(heads.size())
+  std::vector<uint64_t> keys;   // slot -> key
+  std::vector<uint32_t> heads;  // slot -> first row, kEnd when empty
+  std::vector<uint32_t> next;   // row -> next row with its key, or kEnd
 };
 
 struct Executor {
@@ -404,10 +425,13 @@ struct Executor {
     return static_cast<uint64_t>(chunk_count) * est_per_binding >= rows;
   }
 
-  static uint64_t HashTargets(const Term* terms, size_t count) {
+  // The hash index key of a bound-position term tuple, under the probed
+  // table's test mask (mask 0 puts every row in one chain).
+  static uint64_t HashTargets(const FactTable& table, const Term* terms,
+                              size_t count) {
     size_t seed = count;
     for (size_t i = 0; i < count; ++i) HashCombine(&seed, TermHash{}(terms[i]));
-    return seed;
+    return seed & table.hash_mask();
   }
 
   void EnsureHashIndex(size_t depth, const PlannedAtom& pa,
@@ -416,15 +440,33 @@ struct Executor {
     if (hi.built) return;
     hi.built = true;
     const FactTable* table = pa.table;
-    std::vector<Term> key_terms(pa.bound_positions.size());
-    for (uint32_t r = 0; r < table->size(); ++r) {
+    const uint32_t rows = static_cast<uint32_t>(table->size());
+    auto in_window = [&](uint32_t r) {
       const uint32_t lvl = table->Level(r);
-      if (lvl < window.min_level || lvl > window.max_level) continue;
+      return lvl >= window.min_level && lvl <= window.max_level;
+    };
+    size_t keyed = 0;
+    for (uint32_t r = 0; r < rows; ++r) keyed += in_window(r);
+    size_t capacity = 2;
+    while (capacity < 2 * keyed) capacity <<= 1;
+    hi.shift = 64 - std::countr_zero(capacity);
+    hi.keys.resize(capacity);
+    hi.heads.assign(capacity, HashIndex::kEnd);
+    hi.next.resize(rows);
+    // Descending, prepending: every chain ends up in ascending row order.
+    std::vector<Term> key_terms(pa.bound_positions.size());
+    for (uint32_t r = rows; r-- > 0;) {
+      if (!in_window(r)) continue;
       const Term* row = table->Row(r);
       for (size_t j = 0; j < pa.bound_positions.size(); ++j) {
         key_terms[j] = row[pa.bound_positions[j]];
       }
-      hi.map[HashTargets(key_terms.data(), key_terms.size())].push_back(r);
+      const uint64_t key =
+          HashTargets(*table, key_terms.data(), key_terms.size());
+      const size_t s = hi.Slot(key);
+      hi.keys[s] = key;
+      hi.next[r] = hi.heads[s];
+      hi.heads[s] = r;
     }
   }
 
@@ -520,14 +562,14 @@ struct Executor {
       if (use_hash) {
         if (stats != nullptr) ++stats->index_probes;
         const HashIndex& hi = hash_index[depth];
-        auto it = hi.map.find(HashTargets(scratch_targets.data(), nbound));
-        if (it == hi.map.end()) continue;
-        for (uint32_t r : it->second) {
+        for (uint32_t r =
+                 hi.First(HashTargets(*table, scratch_targets.data(), nbound));
+             r != HashIndex::kEnd; r = hi.next[r]) {
           if (stop || !error.ok()) return;
           if (!Tick()) return;
           if (stats != nullptr) ++stats->rows_tried;
           // The combined key is lossy: verify every bound position by
-          // term equality before accepting the bucket hit. Resolve each
+          // term equality before accepting the chain hit. Resolve each
           // expected term from the plan + parent slots here rather than
           // from scratch_targets: a chunk flush inside this loop recurses
           // into deeper depths, which reuse (clobber) the shared scratch

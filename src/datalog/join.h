@@ -28,8 +28,11 @@ namespace mdqa::datalog {
 /// other bound positions verified by 4-byte code comparison), or, when
 /// the incoming block is large relative to the table, from a batch hash
 /// index built once over the in-window rows keyed on the bound-position
-/// tuple — with full term verification of every bucket hit, since the
-/// combined 64-bit keys can collide.
+/// tuple — with full term verification of every chain hit, since the
+/// combined 64-bit keys can collide. That index is flat: one open-
+/// addressing array of distinct keys, each slot holding the first row of
+/// its key's chain, and one array linking each row to the next row with
+/// the same key, ascending. It allocates nothing per key.
 ///
 /// Order contract: the legacy backtracking evaluator's enumeration order
 /// is a branch-independent function of (initial bindings, table sizes) —
@@ -41,7 +44,7 @@ namespace mdqa::datalog {
 /// first-derived order, EGD merge order, AssessmentReports), are
 /// identical to the backtracking evaluator's. So are the `EvalStats`
 /// counters, except that the batch hash probe examines only the rows of
-/// its bound key's bucket: there `rows_tried` (and step charging) can be
+/// its bound key's chain: there `rows_tried` (and step charging) can be
 /// lower than the backtracking path's, which walks every row of its most
 /// selective bound position. The executor differential harness
 /// (tests/executor_diff_test.cc) gates this solution by solution.

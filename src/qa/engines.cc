@@ -131,7 +131,9 @@ EngineSelection SelectEngine(const Program& program,
 AnswerSet AnswerSet::Of(std::vector<std::vector<Term>> raw) {
   std::sort(raw.begin(), raw.end());
   raw.erase(std::unique(raw.begin(), raw.end()), raw.end());
-  return AnswerSet{std::move(raw)};
+  AnswerSet out;
+  out.tuples = std::move(raw);
+  return out;
 }
 
 bool AnswerSet::Contains(const std::vector<Term>& t) const {

@@ -715,7 +715,7 @@ Result<GeneratedScenario> ScenarioGenerator::Generate(
       context.MapRelationToContext("GMeasurements", "GMeasC"));
   MDQA_RETURN_IF_ERROR(BuildContextRules(world, &context));
 
-  GeneratedScenario out{spec, std::move(context), "GMeasurements"};
+  GeneratedScenario out{spec, std::move(context), "GMeasurements", {}, {}};
   out.truth = world.Verdicts(rows);
   for (const TupleVerdict& v : out.truth) {
     switch (v.violation) {

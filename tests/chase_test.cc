@@ -1,5 +1,10 @@
 #include "datalog/chase.h"
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "datalog/parser.h"
@@ -393,28 +398,142 @@ TEST(Chase, ProbedHeadStillPollsCqRow) {
 TEST(Chase, ProjectingRuleWithManyMatchesPerTrigger) {
   // 256 x 300 edges: far more body matches than distinct triggers, enough
   // to make the trigger buffer compact itself during the pass. Edges are
-  // stored in descending source order, so matches arrive unsorted.
-  auto p = Parser::ParseProgram("Reach(X) :- Edge(X, Y).\n");
+  // stored in descending source order, so matches arrive unsorted. The
+  // rule's single head atom has no existential, so its triggers apply in
+  // collection order: the row order is not sorted, but it is the same on
+  // every run of the same input.
+  auto chase = [](std::vector<Term>* reach_rows) {
+    auto p = Parser::ParseProgram("Reach(X) :- Edge(X, Y).\n");
+    ASSERT_TRUE(p.ok()) << p.status();
+    Vocabulary* vocab = p->mutable_vocab();
+    auto edge = vocab->InternPredicate("Edge", 2);
+    ASSERT_TRUE(edge.ok());
+    for (int x = 0; x < 256; ++x) vocab->Int(x);  // ascending term ids
+    Instance instance(p->vocab());
+    for (int x = 255; x >= 0; --x) {
+      for (int y = 0; y < 300; ++y) {
+        instance.AddFact(Atom(*edge, {vocab->Int(x), vocab->Int(1000 + y)}),
+                         0);
+      }
+    }
+    Result<ChaseStats> stats = Chase::Run(*p, &instance);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(stats->tgd_firings, 256u);
+    EXPECT_EQ(stats->facts_added, 256u);
+    const FactTable* reach = instance.Table(vocab->FindPredicate("Reach"));
+    ASSERT_NE(reach, nullptr);
+    ASSERT_EQ(reach->size(), 256u);
+    for (uint32_t r = 0; r < reach->size(); ++r) {
+      reach_rows->push_back(reach->Row(r)[0]);
+    }
+  };
+  std::vector<Term> first;
+  std::vector<Term> second;
+  chase(&first);
+  chase(&second);
+  EXPECT_EQ(first, second);
+  std::vector<Term> sorted = first;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end());
+}
+
+TEST(Chase, ExistentialHeadKeepsSortedNullNumbering) {
+  // Person rows are stored in descending order, so the matches arrive
+  // descending; the triggers are still sorted before they fire, so the
+  // nulls are numbered in ascending frontier order.
+  auto p = Parser::ParseProgram("HasParent(X, Z) :- Person(X).\n");
   ASSERT_TRUE(p.ok()) << p.status();
   Vocabulary* vocab = p->mutable_vocab();
-  auto edge = vocab->InternPredicate("Edge", 2);
-  ASSERT_TRUE(edge.ok());
+  auto person = vocab->InternPredicate("Person", 1);
+  ASSERT_TRUE(person.ok());
   for (int x = 0; x < 256; ++x) vocab->Int(x);  // ascending term ids
   Instance instance(p->vocab());
   for (int x = 255; x >= 0; --x) {
-    for (int y = 0; y < 300; ++y) {
-      instance.AddFact(Atom(*edge, {vocab->Int(x), vocab->Int(1000 + y)}), 0);
-    }
+    instance.AddFact(Atom(*person, {vocab->Int(x)}), 0);
   }
   Result<ChaseStats> stats = Chase::Run(*p, &instance);
   ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->tgd_firings, 256u);
-  EXPECT_EQ(stats->facts_added, 256u);
-  const FactTable* reach = instance.Table(vocab->FindPredicate("Reach"));
-  ASSERT_NE(reach, nullptr);
-  ASSERT_EQ(reach->size(), 256u);
-  for (uint32_t r = 0; r < reach->size(); ++r) {
-    EXPECT_EQ(reach->Row(r)[0], vocab->Int(r));  // fired in sorted order
+  EXPECT_EQ(stats->nulls_created, 256u);
+  const FactTable* parent = instance.Table(vocab->FindPredicate("HasParent"));
+  ASSERT_NE(parent, nullptr);
+  ASSERT_EQ(parent->size(), 256u);
+  for (uint32_t r = 0; r < parent->size(); ++r) {
+    EXPECT_EQ(parent->Row(r)[0], vocab->Int(static_cast<int>(r)));
+    ASSERT_TRUE(parent->Row(r)[1].IsNull());
+    if (r > 0) {
+      EXPECT_LT(parent->Row(r - 1)[1], parent->Row(r)[1]);
+    }
+  }
+}
+
+// A forward chain over 256 edges: B copies A, C joins B with A into
+// two-step paths, D projects C.
+std::string ForwardChain(bool reversed) {
+  std::string text;
+  for (int i = 0; i < 256; ++i) {
+    text += "A(" + std::to_string(i) + ", " + std::to_string(i + 1) + ").\n";
+  }
+  const std::string rules[] = {
+      "B(X, Y) :- A(X, Y).\n",
+      "C(X, Z) :- B(X, Y), A(Y, Z).\n",
+      "D(X) :- C(X, Z).\n",
+  };
+  if (reversed) {
+    for (int r = 2; r >= 0; --r) text += rules[r];
+  } else {
+    for (const std::string& r : rules) text += r;
+  }
+  return text;
+}
+
+TEST(Chase, RoundAfterFullPassSkipsWhatItApplied) {
+  // In rule order every fact is derived in round 1. Round 2 re-collects
+  // nothing: no body table grew after its rule's full pass collected, so
+  // it charges no steps beyond a run capped at that first round.
+  auto steps = [](uint64_t max_rounds, ChaseStats* stats) {
+    ExecutionBudget budget;  // counting limits, as the experiments set
+    budget.set_max_steps(ExecutionBudget::kUnlimited - 1);
+    budget.set_max_facts(ExecutionBudget::kUnlimited - 1);
+    budget.set_max_rounds(max_rounds);
+    ChaseOptions options;
+    options.budget = &budget;
+    auto p = Parser::ParseProgram(ForwardChain(/*reversed=*/false));
+    EXPECT_TRUE(p.ok()) << p.status();
+    Instance instance = Instance::FromProgram(*p);
+    EXPECT_TRUE(Chase::Run(*p, &instance, options, stats).ok());
+    return budget.steps();
+  };
+  ChaseStats full;
+  ChaseStats capped;
+  const uint64_t full_steps = steps(ExecutionBudget::kUnlimited - 1, &full);
+  const uint64_t capped_steps = steps(1, &capped);
+  EXPECT_TRUE(full.reached_fixpoint);
+  EXPECT_EQ(full.rounds, 2u);
+  EXPECT_EQ(capped.stop, ChaseStop::kBudget);
+  EXPECT_EQ(capped.rounds, 1u);
+  EXPECT_EQ(full.tgd_firings, 256u + 255u + 255u);
+  EXPECT_EQ(full.tgd_firings, capped.tgd_firings);
+  EXPECT_GT(capped_steps, 0u);
+  EXPECT_EQ(full_steps, capped_steps);
+}
+
+TEST(Chase, RoundAfterFullPassStillRunsGrownDeltas) {
+  // In reverse order each rule's body grows after its full pass, so the
+  // skip stands down and each layer lands one round later.
+  auto run = RunChase(ForwardChain(/*reversed=*/true));
+  ASSERT_TRUE(run.stats.ok()) << run.stats.status();
+  EXPECT_EQ(run.stats->rounds, 4u);
+  EXPECT_EQ(run.stats->tgd_firings, 256u + 255u + 255u);
+  const auto& vocab = *run.program.vocab();
+  const std::pair<const char*, uint32_t> layers[] = {
+      {"B", 1u}, {"C", 2u}, {"D", 3u}};
+  for (const auto& [pred, level] : layers) {
+    const FactTable* table = run.instance.Table(vocab.FindPredicate(pred));
+    ASSERT_NE(table, nullptr) << pred;
+    EXPECT_EQ(table->size(), pred[0] == 'B' ? 256u : 255u) << pred;
+    for (uint32_t r = 0; r < table->size(); ++r) {
+      EXPECT_EQ(table->Level(r), level) << pred << " row " << r;
+    }
   }
 }
 

@@ -398,5 +398,47 @@ TEST(RowColumnarEquivalence, HashProbeSurvivesMidBucketFlush) {
             300u);
 }
 
+// The batch hash index keys rows under the probed table's test mask, so
+// mask 0 puts every in-window S row into one chain, and only the term
+// verification of each chain hit keeps the join exact. R's 8 rows make
+// an incoming block of 8, enough for the hash path. S's window (level 1)
+// holds ("k", b_i); its level-0 rows ("o_m", b_i) give each b_i as many
+// rows as "k" has, so the backtracking path walks the 8 rows of "k" per
+// binding: exactly the chain the hash path walks.
+TEST(RowColumnarEquivalence, HashProbeVerifiesCollidingKeys) {
+  std::string text;
+  for (int i = 0; i < 8; ++i) {
+    text += "R(\"k\", \"b" + std::to_string(i) + "\").\n";
+  }
+  auto p = Parser::ParseProgram(text);
+  ASSERT_TRUE(p.ok());
+  auto q = Parser::ParseQuery("Ans(K, Y) :- R(K, Y), S(K, Y).",
+                              p->mutable_vocab());
+  ASSERT_TRUE(q.ok());
+  datalog::Vocabulary* vocab = p->mutable_vocab();
+  const uint32_t s = vocab->FindPredicate("S");
+  Instance instance = Instance::FromProgram(*p);
+  instance.MutableTable(s, 2)->set_hash_mask_for_test(0);
+  for (int i = 0; i < 8; ++i) {
+    const Term b = vocab->Str("b" + std::to_string(i));
+    instance.AddFact(Atom(s, {vocab->Str("k"), b}), 1);
+    for (int m = 0; m < 7; ++m) {
+      instance.AddFact(Atom(s, {vocab->Str("o" + std::to_string(m)), b}), 0);
+    }
+  }
+  const std::vector<AtomLevelWindow> windows = {{}, {1, 1}};
+  EXPECT_EQ(ExpectExecutorsAgree(instance, q->body, q->negated,
+                                 q->comparisons, UnusedBinding(*p), windows,
+                                 "masked hash join"),
+            8u);
+  // Each of the 8 bindings walked all 8 in-window S rows: one chain.
+  EvalStats stats;
+  ASSERT_TRUE(BlockJoin(instance, &stats, nullptr)
+                  .Run(q->body, q->negated, q->comparisons, UnusedBinding(*p),
+                       windows, [](const Subst&) { return true; })
+                  .ok());
+  EXPECT_EQ(stats.rows_tried, 8u + 8u * 8u);
+}
+
 }  // namespace
 }  // namespace mdqa::testgen
