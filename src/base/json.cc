@@ -7,37 +7,46 @@
 
 namespace mdqa {
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+namespace {
+
+// Appends `s` JSON-escaped to `*out`.
+void AppendEscaped(std::string_view s, std::string* out) {
   for (char c : s) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x",
                         static_cast<unsigned>(c));
-          out += buf;
+          *out += buf;
         } else {
-          out.push_back(c);
+          out->push_back(c);
         }
     }
   }
+}
+
+}  // namespace
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  AppendEscaped(s, &out);
   return out;
 }
 
@@ -102,7 +111,7 @@ JsonWriter& JsonWriter::Key(std::string_view key) {
   if (ObjectCount(top) > 0) out_ += ',';
   top = EncodeObject(ObjectCount(top), true);
   out_ += '"';
-  out_ += JsonEscape(key);
+  AppendEscaped(key, &out_);
   out_ += "\":";
   return *this;
 }
@@ -110,7 +119,7 @@ JsonWriter& JsonWriter::Key(std::string_view key) {
 JsonWriter& JsonWriter::String(std::string_view value) {
   BeforeValue();
   out_ += '"';
-  out_ += JsonEscape(value);
+  AppendEscaped(value, &out_);
   out_ += '"';
   return *this;
 }

@@ -456,6 +456,19 @@ Status MdOntology::ValidateReferential() const {
   return Status::Ok();
 }
 
+Status MdOntology::AddRules(Program* program) const {
+  for (const DimensionalRule& dr : dimensional_rules_) {
+    MDQA_RETURN_IF_ERROR(program->AddRule(dr.rule));
+  }
+  for (const Rule& c : constraints_) {
+    MDQA_RETURN_IF_ERROR(program->AddRule(c));
+  }
+  for (const Rule& r : raw_.rules()) {
+    MDQA_RETURN_IF_ERROR(program->AddRule(r));
+  }
+  return Status::Ok();
+}
+
 Result<Program> MdOntology::Compile() const {
   Program program(vocab_);
   for (const md::Dimension& d : dimensions_) {
@@ -464,15 +477,7 @@ Result<Program> MdOntology::Compile() const {
   for (const md::CategoricalRelation& r : relations_) {
     MDQA_RETURN_IF_ERROR(r.EmitFacts(&program));
   }
-  for (const DimensionalRule& dr : dimensional_rules_) {
-    MDQA_RETURN_IF_ERROR(program.AddRule(dr.rule));
-  }
-  for (const Rule& c : constraints_) {
-    MDQA_RETURN_IF_ERROR(program.AddRule(c));
-  }
-  for (const Rule& r : raw_.rules()) {
-    MDQA_RETURN_IF_ERROR(program.AddRule(r));
-  }
+  MDQA_RETURN_IF_ERROR(AddRules(&program));
   for (const Atom& f : raw_.facts()) {
     MDQA_RETURN_IF_ERROR(program.AddFact(f));
   }
@@ -480,7 +485,8 @@ Result<Program> MdOntology::Compile() const {
 }
 
 Result<OntologyProperties> MdOntology::Analyze() const {
-  MDQA_ASSIGN_OR_RETURN(Program program, Compile());
+  Program program(vocab_);
+  MDQA_RETURN_IF_ERROR(AddRules(&program));
   datalog::ProgramAnalysis analysis(program);
   OntologyProperties props;
   props.weakly_sticky = analysis.IsWeaklySticky();

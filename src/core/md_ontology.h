@@ -147,8 +147,9 @@ class MdOntology {
   /// the shared vocabulary.
   Result<datalog::Program> Compile() const;
 
-  /// Classifies the compiled TGD set and checks the paper's claims
-  /// (weak stickiness, separability, upward-only-ness).
+  /// Classifies the ontology's TGD set and checks the paper's claims
+  /// (weak stickiness, separability, upward-only-ness). These are
+  /// properties of the rules alone, so no fact is compiled for them.
   Result<OntologyProperties> Analyze() const;
 
   /// Multi-line dump: dimensions (Fig. 1 rendering), relations, rules.
@@ -166,6 +167,9 @@ class MdOntology {
   };
 
   const PredInfo* FindPred(uint32_t pred_id) const;
+  // Adds the dimensional rules, the constraints and the raw rules to
+  // `program`: the rule part of Compile, and all that Analyze reads.
+  Status AddRules(datalog::Program* program) const;
   Result<DimensionalRule> ClassifyRule(const datalog::Rule& rule) const;
   Status ValidateConstraintBody(const datalog::Rule& rule) const;
 

@@ -341,9 +341,15 @@ std::string AssessmentReport::ToJson() const {
     w.Key("f1").Number(m.f1);
     w.Key("dirty_tuples").BeginArray();
     if (i < dirty_tuples.size()) {
-      for (const Tuple& row : dirty_tuples[i].SortedRows()) {
+      for (const Tuple* row : dirty_tuples[i].SortedRowPointers()) {
         w.BeginArray();
-        for (const Value& v : row) w.String(v.ToString());
+        for (const Value& v : *row) {
+          if (v.is_string()) {
+            w.String(v.AsString());
+          } else {
+            w.String(v.ToString());
+          }
+        }
         w.EndArray();
       }
     }

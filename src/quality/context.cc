@@ -457,7 +457,48 @@ Result<PreparedContext> PreparedContext::ApplyUpdate(
   // New snapshot, new statistics — collected here, once, so concurrent
   // readers of the session never race on a lazily filled cache.
   next.statistics_ = next.instance().CollectStatistics();
+  if (deletes.empty()) next.CarryEdbStatistics(*this, inserts);
   return next;
+}
+
+void PreparedContext::CarryEdbStatistics(const PreparedContext& parent,
+                                         const std::vector<Atom>& inserts) {
+  if (chase_stats().completeness != Completeness::kComplete) return;
+  std::unordered_set<uint32_t> inserted;
+  for (const Atom& f : inserts) inserted.insert(f.predicate);
+  // A predicate no rule derives holds exactly its distinct extensional
+  // facts in the instance: FromProgram dedups them, Extend inserts the
+  // batch at level 0, and without EGDs nothing rewrites those rows. Its
+  // table's row and distinct counts are then CollectEdbStats' numbers.
+  for (const Rule& r : program().rules()) {
+    if (r.IsEgd()) return;
+    for (const Atom& h : r.head) {
+      if (inserted.count(h.predicate) > 0) return;
+    }
+  }
+  datalog::InstanceStatistics stats;
+  {
+    std::lock_guard<std::mutex> lock(parent.edb_stats_.mu);
+    if (!parent.edb_stats_.valid ||
+        parent.edb_stats_.generation != parent.program().generation()) {
+      return;
+    }
+    stats = parent.edb_stats_.stats;
+  }
+  for (uint32_t pred : inserted) {
+    auto table = statistics_.tables.find(pred);
+    if (table == statistics_.tables.end()) return;
+    stats.tables[pred] = table->second;
+  }
+  stats.total_facts = 0;
+  stats.max_rows = 0;
+  for (const auto& [pred, table] : stats.tables) {
+    stats.total_facts += table.rows;
+    stats.max_rows = std::max(stats.max_rows, table.rows);
+  }
+  edb_stats_.stats = std::move(stats);
+  edb_stats_.generation = program().generation();
+  edb_stats_.valid = true;
 }
 
 Result<qa::AnswerSet> PreparedContext::Evaluate(datalog::ConjunctiveQuery query,

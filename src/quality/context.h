@@ -325,12 +325,18 @@ class PreparedContext {
   }
 
   /// Statistics of the session program's *extensional* facts (the EDB
-  /// the cost model prices engines against), computed lazily on first
-  /// use and cached keyed on `Program::generation()` — `ApplyUpdate`
-  /// hands the derived session a mutated fact list, whose bumped
-  /// generation (plus the cache resetting on session copy) invalidates
-  /// the cache. Thread-safe; `Assessor::Reassess` calls this instead of
-  /// recomputing per reassessment.
+  /// the cost model prices engines against): exactly
+  /// `analysis::CostModel::CollectEdbStats(program())`, cached keyed on
+  /// `Program::generation()`. Thread-safe; `Assessor::Reassess` calls
+  /// this instead of recomputing per reassessment.
+  ///
+  /// An insert-only `ApplyUpdate` whose chase completed carries the
+  /// parent's statistics forward when they were already computed, the
+  /// program has no EGDs and no rule derives an inserted predicate: only
+  /// the inserted predicates' entries are read again, off the new
+  /// instance's tables. Every other session collects them lazily, on
+  /// first use, from the whole fact list. Moving a session keeps the
+  /// cache; copying one resets it (see `EdbStatsCache`).
   const datalog::InstanceStatistics& EdbStatistics() const;
 
   /// The database as this session sees it (after any applied updates).
@@ -349,6 +355,12 @@ class PreparedContext {
   Result<qa::AnswerSet> Evaluate(datalog::ConjunctiveQuery query,
                                  ExecutionBudget* budget = nullptr) const;
 
+  /// ApplyUpdate's tail: seeds this new session's EDB-statistics cache
+  /// from `parent`'s when the carry described at `EdbStatistics` holds
+  /// for the extensional `inserts`; otherwise leaves it cold.
+  void CarryEdbStatistics(const PreparedContext& parent,
+                          const std::vector<datalog::Atom>& inserts);
+
   std::map<std::string, std::string> quality_of_;
   /// Per-relation S^q read-off queries, pre-bound in Prepare so that
   /// QualityVersion never touches the shared (not thread-safe)
@@ -362,11 +374,13 @@ class PreparedContext {
   datalog::InstanceStatistics statistics_;
   std::vector<std::string> updated_relations_;  // set by ApplyUpdate
 
-  /// Lazy EDB-statistics cache behind EdbStatistics(). Copying a session
+  /// EDB-statistics cache behind EdbStatistics(). Copying a session
   /// (ApplyUpdate's starting point) RESETS the cache rather than copying
   /// it: a rebuilt program (the deletion path constructs one from
   /// scratch) can coincidentally land on the parent's generation value
   /// with a different fact list, so inherited entries are never safe.
+  /// Moving a session KEEPS the cache: the program it describes moves
+  /// with it. A moved-from session may be in use by no other thread.
   struct EdbStatsCache {
     std::mutex mu;
     bool valid = false;
@@ -374,8 +388,18 @@ class PreparedContext {
     datalog::InstanceStatistics stats;
     EdbStatsCache() = default;
     EdbStatsCache(const EdbStatsCache&) {}  // fresh, invalid cache
+    EdbStatsCache(EdbStatsCache&& other) noexcept {
+      *this = std::move(other);
+    }
     EdbStatsCache& operator=(const EdbStatsCache&) {
       valid = false;
+      return *this;
+    }
+    EdbStatsCache& operator=(EdbStatsCache&& other) noexcept {
+      valid = other.valid;
+      generation = other.generation;
+      stats = std::move(other.stats);
+      other.valid = false;
       return *this;
     }
   };

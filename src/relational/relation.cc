@@ -1,9 +1,41 @@
 #include "relational/relation.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <sstream>
 
 namespace mdqa {
+
+namespace {
+
+// Fibonacci-hashed start of `row`'s probe chain in an index of
+// 2^(64 - shift) slots.
+size_t HomeSlot(const Tuple& row, int shift) {
+  return (TupleHash{}(row) * 0x9e3779b97f4a7c15ull) >> shift;
+}
+
+}  // namespace
+
+size_t Relation::IndexSlot(const Tuple& row) const {
+  const size_t mask = index_.size() - 1;
+  size_t slot = HomeSlot(row, index_shift_);
+  while (index_[slot] != 0 && rows_[index_[slot] - 1] != row) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void Relation::Rehash(size_t capacity) {
+  index_.assign(capacity, 0);
+  index_shift_ = 64 - std::countr_zero(capacity);
+  // Rows are distinct, so each takes the first empty slot of its chain.
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    size_t slot = HomeSlot(rows_[r], index_shift_);
+    while (index_[slot] != 0) slot = (slot + 1) & (capacity - 1);
+    index_[slot] = static_cast<uint32_t>(r + 1);
+  }
+}
 
 Status Relation::Insert(Tuple row) {
   if (row.size() != schema_.arity()) {
@@ -19,8 +51,19 @@ Status Relation::Insert(Tuple row) {
           "' of " + schema_.name() + ": value " + row[i].ToLiteral());
     }
   }
-  if (index_.insert(row).second) {
-    rows_.push_back(std::move(row));
+  if (index_.empty()) Rehash(8);
+  const size_t slot = IndexSlot(row);
+  if (index_[slot] != 0) return Status::Ok();  // duplicate: set semantics
+  if (rows_.size() >= std::numeric_limits<uint32_t>::max()) {
+    return Status::ResourceExhausted("relation " + schema_.name() +
+                                     " is full: " + std::to_string(size()) +
+                                     " rows");
+  }
+  rows_.push_back(std::move(row));
+  if (2 * rows_.size() > index_.size()) {
+    Rehash(2 * index_.size());  // places the new row too
+  } else {
+    index_[slot] = static_cast<uint32_t>(rows_.size());
   }
   return Status::Ok();
 }
@@ -91,8 +134,18 @@ Result<Relation> Relation::Minus(const Relation& other) const {
 }
 
 std::vector<Tuple> Relation::SortedRows() const {
-  std::vector<Tuple> sorted = rows_;
-  std::sort(sorted.begin(), sorted.end());
+  std::vector<Tuple> sorted;
+  sorted.reserve(rows_.size());
+  for (const Tuple* t : SortedRowPointers()) sorted.push_back(*t);
+  return sorted;
+}
+
+std::vector<const Tuple*> Relation::SortedRowPointers() const {
+  std::vector<const Tuple*> sorted;
+  sorted.reserve(rows_.size());
+  for (const Tuple& t : rows_) sorted.push_back(&t);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Tuple* a, const Tuple* b) { return *a < *b; });
   return sorted;
 }
 
@@ -102,10 +155,10 @@ std::string Relation::ToTable() const {
   header.reserve(arity());
   for (const Attribute& a : schema_.attributes()) header.push_back(a.name);
   cells.push_back(header);
-  for (const Tuple& t : SortedRows()) {
+  for (const Tuple* t : SortedRowPointers()) {
     std::vector<std::string> row;
-    row.reserve(t.size());
-    for (const Value& v : t) row.push_back(v.ToString());
+    row.reserve(t->size());
+    for (const Value& v : *t) row.push_back(v.ToString());
     cells.push_back(std::move(row));
   }
   std::vector<size_t> widths(arity(), 0);

@@ -1,9 +1,9 @@
 #ifndef MDQA_RELATIONAL_RELATION_H_
 #define MDQA_RELATIONAL_RELATION_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "base/result.h"
@@ -27,6 +27,11 @@ struct TupleHash {
 /// insertion order. This is the user-facing table type (original instances,
 /// quality versions, query answers); the Datalog± engine has its own
 /// interned fact store (datalog/instance.h) and bridges to/from `Relation`.
+///
+/// Each row is stored once, in `rows()`. Set membership goes through a
+/// flat open-addressing index of row ids with the layout of the fact
+/// table's dedup index (datalog/instance.h), so inserting allocates no
+/// hash node and copying a relation copies the rows plus one flat array.
 class Relation {
  public:
   explicit Relation(RelationSchema schema) : schema_(std::move(schema)) {}
@@ -41,13 +46,16 @@ class Relation {
   const Tuple& row(size_t i) const { return rows_[i]; }
 
   /// Inserts a row after checking arity and attribute types. Duplicate rows
-  /// are ignored (set semantics); returns OK either way.
+  /// are ignored (set semantics); returns OK either way. A new row past
+  /// `UINT32_MAX` rows is refused with kResourceExhausted.
   Status Insert(Tuple row);
 
   /// Inserts a row built from mixed literals via `Value::FromText`.
   Status InsertText(const std::vector<std::string>& fields);
 
-  bool Contains(const Tuple& row) const { return index_.count(row) > 0; }
+  bool Contains(const Tuple& row) const {
+    return !index_.empty() && index_[IndexSlot(row)] != 0;
+  }
 
   /// Rows satisfying `pred`, as a new relation with the same schema.
   Relation Select(const std::function<bool(const Tuple&)>& pred) const;
@@ -64,13 +72,28 @@ class Relation {
   /// Rows sorted lexicographically (for deterministic output).
   std::vector<Tuple> SortedRows() const;
 
+  /// The same order as `SortedRows`, as pointers into `rows()`: no row is
+  /// copied. Valid until the relation is next modified.
+  std::vector<const Tuple*> SortedRowPointers() const;
+
   /// Renders an aligned ASCII table like the ones in the paper.
   std::string ToTable() const;
 
  private:
+  /// The index slot holding `row`'s id, or the empty slot where its probe
+  /// chain ends. Pre: the index is non-empty.
+  size_t IndexSlot(const Tuple& row) const;
+  /// Rebuilds the index over every row at `capacity` slots.
+  void Rehash(size_t capacity);
+
   RelationSchema schema_;
   std::vector<Tuple> rows_;
-  std::unordered_set<Tuple, TupleHash> index_;
+  // Row index: row id + 1 by open addressing, 0 marking an empty slot —
+  // power-of-two capacity, load <= 1/2, linear probing from a
+  // Fibonacci-hashed home slot. Slots are keyed by a lossy hash, so every
+  // candidate is verified against `rows_`.
+  std::vector<uint32_t> index_;
+  int index_shift_ = 64;  // 64 - log2(index_.size())
 };
 
 }  // namespace mdqa

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <charconv>
-#include <cstdio>
 #include <cstdlib>
 #include <functional>
 
@@ -48,9 +47,13 @@ std::string Value::ToString() const {
     case ValueType::kInt64:
       return std::to_string(AsInt());
     case ValueType::kDouble: {
+      // The bytes of printf's "%g" (six significant digits, C locale),
+      // without parsing a format string per value.
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", AsDouble());
-      return buf;
+      const std::to_chars_result r =
+          std::to_chars(buf, buf + sizeof(buf), AsDouble(),
+                        std::chars_format::general, 6);
+      return std::string(buf, r.ptr);
     }
     case ValueType::kString:
       return AsString();

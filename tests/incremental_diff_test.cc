@@ -17,15 +17,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "analysis/cost_model.h"
 #include "base/thread_pool.h"
 #include "datalog/chase.h"
 #include "datalog/instance.h"
 #include "datalog/parser.h"
 #include "testgen/generators.h"
+#include "testgen/scenario.h"
 #include "qa/chase_qa.h"
 #include "quality/assessor.h"
 #include "scenarios/hospital.h"
@@ -42,6 +46,7 @@ using datalog::Instance;
 using datalog::Parser;
 using datalog::Program;
 using qa::ChaseQa;
+using testgen::ScenarioFamily;
 using testgen::UpdateSequence;
 
 // Certain answers rendered as sorted display strings, so engines over
@@ -486,6 +491,159 @@ TEST(QualityUpdateDiffSkip, SessionsBranchIndependently) {
   EXPECT_GT(left->instance().TotalFacts(), base_facts);
   EXPECT_GT(right->instance().TotalFacts(), base_facts);
   EXPECT_NE(left->instance().ToString(), right->instance().ToString());
+}
+
+// --- EDB statistics across chained session writes ---
+//
+// `PreparedContext::EdbStatistics` carries a warm parent's statistics
+// across an insert-only write instead of re-collecting them. After every
+// write it must still equal a fresh `CollectEdbStats` over the session's
+// program: every table's rows and distinct counts, and both totals.
+
+// Checks `session`'s EDB statistics against a fresh collection. Asking
+// for them warms the session's cache, as Reassess does.
+void ExpectEdbStatsMatchCollect(const quality::PreparedContext& session,
+                                const std::string& where) {
+  const datalog::InstanceStatistics& got = session.EdbStatistics();
+  const datalog::InstanceStatistics want =
+      analysis::CostModel::CollectEdbStats(session.program());
+  EXPECT_EQ(got.total_facts, want.total_facts) << where;
+  EXPECT_EQ(got.max_rows, want.max_rows) << where;
+  EXPECT_EQ(got.tables.size(), want.tables.size()) << where;
+  const datalog::Vocabulary& vocab = *session.program().vocab();
+  for (const auto& [pred, table] : want.tables) {
+    auto it = got.tables.find(pred);
+    ASSERT_NE(it, got.tables.end())
+        << where << ": no entry for " << vocab.PredicateName(pred);
+    EXPECT_EQ(it->second.rows, table.rows)
+        << where << ": rows of " << vocab.PredicateName(pred);
+    EXPECT_EQ(it->second.distinct, table.distinct)
+        << where << ": distinct counts of " << vocab.PredicateName(pred);
+  }
+}
+
+class EdbStatsChain
+    : public ::testing::TestWithParam<std::tuple<ScenarioFamily, uint32_t>> {
+};
+
+// The generator's update stream (insert-only batches, then one that also
+// deletes), followed by a batch re-inserting the deleted rows, so an
+// insert-only write also follows the deletion's full re-chase. Sessions
+// move between batches, by construction and by assignment in turn.
+TEST_P(EdbStatsChain, MatchesCollectAfterEveryBatch) {
+  testgen::ScenarioSpec spec = testgen::SpecFor(std::get<0>(GetParam()),
+                                                std::get<1>(GetParam()));
+  spec.update_batches = 3;
+  spec.delete_in_last_batch = true;
+  auto scenario = testgen::ScenarioGenerator::Generate(spec);
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  std::vector<quality::DeltaBatch> batches;
+  for (const testgen::ScenarioUpdate& u : scenario->updates) {
+    batches.push_back(u.batch);
+  }
+  ASSERT_TRUE(batches.back().HasDeletions());
+  quality::DeltaBatch reinsert;
+  for (const quality::RelationDelta& d : batches.back().deltas) {
+    if (d.delete_rows.empty()) continue;
+    reinsert.deltas.push_back({d.relation, d.delete_rows, {}});
+  }
+  batches.push_back(std::move(reinsert));
+
+  auto prepared = scenario->context.Prepare();
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  std::optional<quality::PreparedContext> session;
+  session.emplace(std::move(*prepared));
+  ExpectEdbStatsMatchCollect(*session, "prepared");
+  for (size_t b = 0; b < batches.size(); ++b) {
+    auto next = session->ApplyUpdate(batches[b]);
+    ASSERT_TRUE(next.ok()) << "batch " << b << ": " << next.status();
+    if (b % 2 == 0) {
+      session.emplace(std::move(*next));
+    } else {
+      *session = std::move(*next);
+    }
+    ExpectEdbStatsMatchCollect(*session, "batch " + std::to_string(b));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, EdbStatsChain,
+    ::testing::Combine(::testing::ValuesIn(testgen::kAllScenarioFamilies),
+                       ::testing::Range(0u, 6u)),
+    [](const auto& info) {
+      std::string name =
+          testgen::ScenarioFamilyToString(std::get<0>(info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name + "_s" + std::to_string(std::get<1>(info.param));
+    });
+
+// One measurement row for the hospital context's Measurements relation.
+quality::DeltaBatch MeasurementBatch(const char* time, double value) {
+  quality::RelationDelta delta;
+  delta.relation = "Measurements";
+  delta.insert_rows.push_back(
+      {Value::Str(time), Value::Str("Lou Reed"), Value::Real(value)});
+  quality::DeltaBatch batch;
+  batch.deltas.push_back(std::move(delta));
+  return batch;
+}
+
+TEST(EdbStatsCarry, ColdParentCollectsInFull) {
+  scenarios::HospitalOptions options;
+  options.include_downward_rules = false;
+  options.include_constraints = false;
+  auto context = scenarios::BuildHospitalContext(options);
+  ASSERT_TRUE(context.ok()) << context.status();
+  auto prepared = context->Prepare();
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  // The parent's statistics are never requested before the write.
+  auto first = prepared->ApplyUpdate(MeasurementBatch("Sep/5-12:10", 37.9));
+  ASSERT_TRUE(first.ok()) << first.status();
+  ExpectEdbStatsMatchCollect(*first, "after a cold parent");
+  auto second = first->ApplyUpdate(MeasurementBatch("Sep/9-12:00", 36.8));
+  ASSERT_TRUE(second.ok()) << second.status();
+  ExpectEdbStatsMatchCollect(*second, "after a warm parent");
+}
+
+TEST(EdbStatsCarry, ProgramWithEgdCollectsInFull) {
+  scenarios::HospitalOptions options;
+  options.include_downward_rules = false;  // EGD (6) stays in
+  auto context = scenarios::BuildHospitalContext(options);
+  ASSERT_TRUE(context.ok()) << context.status();
+  auto prepared = context->Prepare();
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  ASSERT_FALSE(prepared->program().Egds().empty());
+  ExpectEdbStatsMatchCollect(*prepared, "prepared");
+  auto next = prepared->ApplyUpdate(MeasurementBatch("Sep/5-12:10", 37.9));
+  ASSERT_TRUE(next.ok()) << next.status();
+  ExpectEdbStatsMatchCollect(*next, "after an insert");
+}
+
+TEST(EdbStatsCarry, InsertIntoDerivedPredicateCollectsInFull) {
+  scenarios::HospitalOptions options;
+  options.include_downward_rules = false;
+  options.include_constraints = false;
+  auto context = scenarios::BuildHospitalContext(options);
+  ASSERT_TRUE(context.ok()) << context.status();
+  AddAuditRelation(&*context);
+  // A rule also derives Audit, so its instance table holds a9 besides the
+  // extensional rows: the table no longer counts the EDB alone.
+  ASSERT_TRUE(context
+                  ->AddContextualRules("AuditSeed(\"a9\").\n"
+                                       "Audit(X) :- AuditSeed(X).\n")
+                  .ok());
+  auto prepared = context->Prepare();
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  ExpectEdbStatsMatchCollect(*prepared, "prepared");
+
+  quality::RelationDelta delta;
+  delta.relation = "Audit";
+  delta.insert_rows.push_back({Value::Str("a4")});
+  quality::DeltaBatch batch;
+  batch.deltas.push_back(std::move(delta));
+  auto next = prepared->ApplyUpdate(batch);
+  ASSERT_TRUE(next.ok()) << next.status();
+  ExpectEdbStatsMatchCollect(*next, "after an insert into Audit");
 }
 
 }  // namespace

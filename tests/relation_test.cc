@@ -118,6 +118,82 @@ TEST(Relation, SortedRowsDeterministic) {
   EXPECT_EQ(sorted[2][0].AsInt(), 3);
 }
 
+// Row i of the grown relations below; row i and row i + 1000 share their
+// second value, so the index keys on whole rows.
+Tuple GrownRow(int64_t i) {
+  return {Value::Int(i), Value::Str("s" + std::to_string(i % 1000))};
+}
+
+constexpr int64_t kGrownRows = 100000;
+
+TEST(Relation, RowIndexSurvivesGrowth) {
+  Relation r(MakeSchema("R", {"a", "b"}));
+  ASSERT_TRUE(r.Insert(GrownRow(0)).ok());
+  ASSERT_TRUE(r.Insert(GrownRow(1)).ok());
+  EXPECT_TRUE(r.Contains(GrownRow(0)));
+  EXPECT_FALSE(r.Contains(GrownRow(2)));
+  for (int64_t i = 2; i < kGrownRows; ++i) {
+    ASSERT_TRUE(r.Insert(GrownRow(i)).ok());
+  }
+  ASSERT_EQ(r.size(), static_cast<size_t>(kGrownRows));
+  // Rows from before the first rehash and after the last, in insertion
+  // order.
+  for (int64_t i = 0; i < kGrownRows; i += 97) {
+    EXPECT_TRUE(r.Contains(GrownRow(i))) << i;
+    EXPECT_EQ(r.row(static_cast<size_t>(i)), GrownRow(i)) << i;
+  }
+  EXPECT_TRUE(r.Contains(GrownRow(1)));
+  EXPECT_TRUE(r.Contains(GrownRow(kGrownRows - 1)));
+  EXPECT_FALSE(r.Contains(GrownRow(kGrownRows)));
+  EXPECT_FALSE(r.Contains({Value::Int(5), Value::Str("s6")}));
+  EXPECT_FALSE(r.Contains({Value::Int(5)}));
+
+  ASSERT_TRUE(r.Insert(GrownRow(12345)).ok());  // duplicate: ignored
+  EXPECT_EQ(r.size(), static_cast<size_t>(kGrownRows));
+
+  Relation copy = r;
+  ASSERT_TRUE(copy.Insert(GrownRow(kGrownRows)).ok());
+  EXPECT_EQ(copy.size(), static_cast<size_t>(kGrownRows) + 1);
+  EXPECT_TRUE(copy.Contains(GrownRow(kGrownRows)));
+  EXPECT_EQ(r.size(), static_cast<size_t>(kGrownRows));
+  EXPECT_FALSE(r.Contains(GrownRow(kGrownRows)));
+}
+
+TEST(Relation, SetOperationsOnGrownRelation) {
+  Relation a(MakeSchema("A", {"a", "b"}));
+  Relation b(MakeSchema("B", {"a", "b"}));
+  for (int64_t i = 0; i < kGrownRows; ++i) {
+    ASSERT_TRUE(a.Insert(GrownRow(i)).ok());
+    if (i % 3 == 0) ASSERT_TRUE(b.Insert(GrownRow(i)).ok());
+  }
+  Relation even =
+      a.Select([](const Tuple& t) { return t[0].AsInt() % 2 == 0; });
+  EXPECT_EQ(even.size(), static_cast<size_t>(kGrownRows / 2));
+  EXPECT_TRUE(even.Contains(GrownRow(kGrownRows - 2)));
+  EXPECT_FALSE(even.Contains(GrownRow(kGrownRows - 1)));
+
+  auto common = a.Intersect(b);
+  ASSERT_TRUE(common.ok());
+  EXPECT_EQ(common->size(), b.size());
+  EXPECT_TRUE(common->Contains(GrownRow(3)));
+  EXPECT_FALSE(common->Contains(GrownRow(4)));
+
+  auto rest = a.Minus(b);
+  ASSERT_TRUE(rest.ok());
+  EXPECT_EQ(rest->size(), a.size() - b.size());
+  EXPECT_TRUE(rest->Contains(GrownRow(kGrownRows - 2)));
+  EXPECT_FALSE(rest->Contains(GrownRow(3)));
+  ASSERT_GE(rest->size(), 3u);
+  EXPECT_EQ(rest->row(0), GrownRow(1));  // a's insertion order
+  EXPECT_EQ(rest->row(2), GrownRow(4));
+
+  auto projected = a.Project("P", {1});
+  ASSERT_TRUE(projected.ok());
+  EXPECT_EQ(projected->size(), 1000u);
+  EXPECT_TRUE(projected->Contains({Value::Str("s999")}));
+  EXPECT_FALSE(projected->Contains({Value::Str("s1000")}));
+}
+
 TEST(Relation, ToTableRendersHeaderAndRows) {
   Relation r(MakeSchema("Measurements", {"Time", "Patient"}));
   ASSERT_TRUE(r.InsertText({"Sep/5-12:10", "Tom Waits"}).ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 
@@ -80,6 +81,15 @@ TEST(Value, ToStringForms) {
   EXPECT_EQ(Value::Int(7).ToString(), "7");
   EXPECT_EQ(Value::Str("x y").ToString(), "x y");
   EXPECT_EQ(Value::Real(38.2).ToString(), "38.2");
+  // A double displays exactly as printf's "%g".
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double x : {0.0, -0.0, 0.1, 2.5, 1e-5, 1e-4, 123456.0, 1234567.0,
+                   1e16, 1e300, 5e-324, inf, -inf,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    char printed[64];
+    std::snprintf(printed, sizeof(printed), "%g", x);
+    EXPECT_EQ(Value::Real(x).ToString(), printed);
+  }
 }
 
 TEST(Value, ToLiteralQuotesAndEscapesStrings) {
