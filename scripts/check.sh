@@ -15,8 +15,8 @@
 #                               # tree build-tsan; TSan cannot share a
 #                               # binary with ASan, hence its own tree) —
 #                               # exercises the thread-pool paths of the
-#                               # chase/assessor/rewriter under the full
-#                               # suite
+#                               # assessor and the rewriter, and the serve
+#                               # daemon's threads, under the full suite
 #   scripts/check.sh --lint     # add the lint pass: every target built
 #                               # with -Werror in build-werror/ (so a new
 #                               # -Wall -Wextra warning fails), clang-tidy
@@ -45,17 +45,21 @@
 #                               # use it to replay a failing cell from a
 #                               # ctest log; see docs/testing.md
 #   scripts/check.sh --columnar [--seed N]
-#                               # focused pass for the columnar storage
-#                               # layer and the vectorized join executor:
-#                               # the storage unit tests plus the full
-#                               # executor differential (columnar_test +
-#                               # executor_diff_test: BlockJoin against
-#                               # the backtracking evaluator, solution by
-#                               # solution, on every scenario family and
-#                               # update batch) under ASan/UBSan, then a
-#                               # reduced matrix (MDQA_SCENARIO_REDUCED=1)
-#                               # under TSan. --seed N pins the matrix
-#                               # cells (MDQA_SCENARIO_SEED)
+#                               # focused pass for the fact storage layer
+#                               # and the join executor: the storage unit
+#                               # tests, the full executor differential
+#                               # (executor_diff_test: CqEvaluator::
+#                               # Enumerate against the backtracking
+#                               # reference, solution by solution, unseeded
+#                               # and seeded, on every scenario family and
+#                               # update batch), and the suites whose
+#                               # seeded lookups run through the executor
+#                               # (chase, provenance, why-not, CQA, WS
+#                               # query answering) under ASan/UBSan, then
+#                               # a reduced matrix
+#                               # (MDQA_SCENARIO_REDUCED=1) under TSan.
+#                               # --seed N pins the matrix cells
+#                               # (MDQA_SCENARIO_SEED)
 #   scripts/check.sh --durability
 #                               # focused pass for the crash-safe storage
 #                               # layer (docs/durability.md): the storage
@@ -213,15 +217,17 @@ if [[ $run_columnar -eq 1 ]]; then
   fi
 
   echo "== columnar storage + executor differential (full) under ASan/UBSan =="
+  # The storage and executor units, then the suites whose seeded lookups
+  # (head checks, provenance witnesses, why-not prefixes) the executor runs.
+  columnar_suites=(columnar_test instance_test cq_eval_test chase_test
+    provenance_test whynot_test cqa_test ws_qa_test)
   cmake -B build-san -S . -DMDQA_SANITIZE="address;undefined" >/dev/null
   cmake --build build-san -j "$jobs" \
-    --target columnar_test executor_diff_test instance_test cq_eval_test
-  UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
-    ./build-san/tests/columnar_test
-  UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
-    ./build-san/tests/instance_test
-  UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
-    ./build-san/tests/cq_eval_test
+    --target "${columnar_suites[@]}" executor_diff_test
+  for suite in "${columnar_suites[@]}"; do
+    UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
+      "./build-san/tests/$suite"
+  done
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
     env "${seed_env[@]}" ./build-san/tests/executor_diff_test
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
-#include <set>
 #include <unordered_set>
 
 #include "datalog/analysis.h"
@@ -120,9 +119,6 @@ struct RulePlan {
   std::vector<uint32_t> frontier;
   std::vector<uint32_t> existential;
   std::vector<Term> head;
-  // Semi-oblivious mode: frontier bindings that already fired, across
-  // rounds (full passes would otherwise refire them forever).
-  std::set<std::vector<Term>> fired;
   // The rule's last full pass that collected and applied to completion:
   // its level (0 when none; chase rounds start at 1) and each body
   // atom's table row count as it collected. Round reads it only in the
@@ -281,8 +277,7 @@ class ChaseLoop {
         budget_(options.budget),
         instance_(instance),
         stats_(stats),
-        sort_every_rule_(!options.restricted ||
-                         options.provenance != nullptr ||
+        sort_every_rule_(options.provenance != nullptr ||
                          (options.egd_mode != EgdMode::kOff &&
                           std::any_of(program.rules().begin(),
                                       program.rules().end(),
@@ -411,8 +406,8 @@ Status ChaseLoop::Round(const std::vector<RulePlan*>& plans, uint32_t level,
       // re-find that pass's matches when no body table at d or later has
       // grown since: atoms before d are windowed to rows older than
       // `prev`, which existed when it collected. It applied every such
-      // trigger, so each one's head is now present (restricted) or its
-      // frontier fired (semi-oblivious), and the pass would fire nothing.
+      // trigger, so each one's head is now present, and the pass would
+      // fire nothing.
       // An EGD merge rewrites rows in place, but forces the next round
       // full; negated predicates sit in lower, fixed strata.
       size_t passes = rule.body.size();
@@ -445,17 +440,16 @@ Status ChaseLoop::Round(const std::vector<RulePlan*>& plans, uint32_t level,
     // Canonical apply order: sorted on frontier bindings. This makes the
     // firing order — and with it null numbering, restricted-chase skips,
     // and the final instance — a function of the trigger *set* alone,
-    // independent of the order the passes enumerate it in. A restricted
-    // rule with one existential-free head atom needs no such order: that
-    // atom holds every frontier variable, so distinct triggers derive
-    // distinct rows, a repeated one finds its row present, and the
-    // firings and facts are the same in any order. Its triggers apply in
-    // collection order, which orders only its derived rows. Three cases
-    // keep the sort for every rule: a provenance witness is searched in
-    // the pre-firing instance, so for a recursive rule it can use a row
-    // fired earlier in the pass; which null an EGD merge keeps follows
-    // its body's row order; and the semi-oblivious chase, an ablation off
-    // every hot path, keeps its row order as it was.
+    // independent of the order the passes enumerate it in. A rule with
+    // one existential-free head atom needs no such order: that atom holds
+    // every frontier variable, so distinct triggers derive distinct rows,
+    // a repeated one finds its row present, and the firings and facts are
+    // the same in any order. Its triggers apply in collection order,
+    // which orders only its derived rows. Two cases keep the sort for
+    // every rule: a provenance witness is searched in the pre-firing
+    // instance, so for a recursive rule it can use a row fired earlier in
+    // the pass; and which null an EGD merge keeps follows its body's row
+    // order.
     if (sort_every_rule_ || rule.head.size() != 1 ||
         !plan->existential.empty()) {
       triggers.SortUnique();
@@ -481,7 +475,7 @@ Status ChaseLoop::Apply(RulePlan* plan, const TriggerRows& triggers,
   // probe per head atom through the read-only Table, so a satisfied
   // trigger never bumps the generation or clones a table a snapshot
   // shares. Existential heads take the seeded evaluator instead.
-  const bool probe = options_.restricted && plan->existential.empty();
+  const bool probe = plan->existential.empty();
   std::vector<Term> binding(width + plan->existential.size());
   std::vector<Term> head(plan->head.size());
   // The budget is polled once per 16 triggers through a local tick (the
@@ -506,7 +500,7 @@ Status ChaseLoop::Apply(RulePlan* plan, const TriggerRows& triggers,
       }
       plan->Instantiate(binding, &head);
       if (HeadPresent(*instance_, rule, head)) continue;
-    } else if (options_.restricted) {
+    } else {
       Result<bool> satisfied = CqEvaluator(*instance_, nullptr, budget_)
                                    .Satisfiable(rule.head, {},
                                                 plan->Seed(binding));
@@ -515,9 +509,6 @@ Status ChaseLoop::Apply(RulePlan* plan, const TriggerRows& triggers,
         break;
       }
       if (*satisfied) continue;
-    } else if (!plan->fired.emplace(binding.begin(),
-                                    binding.begin() + width).second) {
-      continue;  // semi-oblivious: this frontier already fired
     }
 
     // Ground body witness for provenance, found against the pre-firing
@@ -689,9 +680,9 @@ Status Chase::Extend(const Program& program, Instance* instance,
   // Conservative fallback matrix (docs/incremental.md): program features
   // that break the soundness of a delta-seeded restart force an exact
   // full re-chase of program+delta instead — recorded, never silent.
-  // Negation and the semi-oblivious chase are unconditional; EGDs and
-  // form-(10) rules are narrowed by the position-dependency analysis —
-  // they fall back only when the delta can actually reach them.
+  // Negation is unconditional; EGDs and form-(10) rules are narrowed by
+  // the position-dependency analysis — they fall back only when the delta
+  // can actually reach them.
   std::string fallback;
   std::vector<const Rule*> form10_rules;
   for (const Rule& r : program.rules()) {
@@ -703,11 +694,6 @@ Status Chase::Extend(const Program& program, Instance* instance,
     if (r.head.size() > 1 && !r.ExistentialVariables().empty()) {
       form10_rules.push_back(&r);
     }
-  }
-  if (fallback.empty() && !options.restricted) {
-    // The semi-oblivious fired-trigger set is not part of the frontier,
-    // so an extension cannot tell which frontier bindings already fired.
-    fallback = "semi-oblivious chase (fired-trigger state not resumable)";
   }
   if (fallback.empty() && (has_egds || !form10_rules.empty())) {
     std::optional<ProgramAnalysis> local_analysis;
@@ -838,9 +824,8 @@ Status Chase::Extend(const Program& program, Instance* instance,
       // Semi-naive restart: identical windows to Run's delta passes — in
       // the first extension round `prev == seed_level`, so the delta atom
       // ranges over exactly the seeded facts while earlier atoms stay on
-      // strictly older (base) rows. Restricted chase only (the fallback
-      // matrix rejects semi-oblivious): satisfied heads are skipped,
-      // which is also what makes re-derivations of base facts free.
+      // strictly older (base) rows. Satisfied heads are skipped, which
+      // is also what makes re-derivations of base facts free.
       const bool full_pass = !options.semi_naive || force_full;
       force_full = false;
       std::unordered_set<uint32_t> added_this;

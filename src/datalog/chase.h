@@ -34,13 +34,6 @@ struct ChaseOptions {
   /// Use semi-naive (delta) evaluation. Naive mode exists for testing and
   /// as the X1 ablation (`mdqa_experiments X1`).
   bool semi_naive = true;
-  /// Restricted chase (default): a trigger fires only when its head is
-  /// not already satisfied. Setting this false gives the
-  /// *semi-oblivious* chase of the Datalog± literature — every distinct
-  /// frontier binding fires exactly once, inventing nulls
-  /// unconditionally. Certain answers coincide; the semi-oblivious
-  /// result is larger. Terminates on weakly-acyclic programs.
-  bool restricted = true;
   /// When non-null, every TGD firing records its ground body witness here
   /// (one extra body evaluation per firing) so derived facts can be
   /// explained as derivation trees. See datalog/provenance.h.
@@ -134,10 +127,10 @@ struct ChaseStats {
   ChaseFrontier frontier;
   /// True when these stats come from `Chase::Extend`.
   bool incremental = false;
-  /// True when `Extend` had to fall back to a full re-chase (negation, a
-  /// semi-oblivious chase, non-separable EGDs that the delta can reach
-  /// with possible null merges, or a form-(10)-shaped rule the delta can
-  /// feed); `fallback_reason` says why. Fallbacks are recorded, never
+  /// True when `Extend` had to fall back to a full re-chase (negation,
+  /// non-separable EGDs that the delta can reach with possible null
+  /// merges, or a form-(10)-shaped rule the delta can feed);
+  /// `fallback_reason` says why. Fallbacks are recorded, never
   /// silent — the result is still exact.
   bool extend_fallback = false;
   std::string fallback_reason;
@@ -155,7 +148,7 @@ class Chase {
  public:
   /// Extends `*instance` with all consequences of `program.rules()` (the
   /// program's own facts are NOT loaded here — build the instance with
-  /// `Instance::FromProgram` or `LoadDatabase` first).
+  /// `Instance::FromProgram` or `LoadRelation` first).
   ///
   /// `*stats` is always filled with whatever accumulated before the
   /// return — including on error — so callers never lose progress
@@ -181,11 +174,10 @@ class Chase {
   /// from-scratch chase of base+delta. For programs without existential
   /// variables the rendering (`Instance::ToString`) is byte-identical;
   /// null-inventing programs may number their nulls differently
-  /// (compare with `Instance::ToCanonicalString`). Programs whose
-  /// features break delta soundness — stratified negation (inserts are
-  /// non-monotone) or a semi-oblivious chase (its fired-trigger set is
-  /// not part of the frontier) — conservatively fall back to a full
-  /// re-chase of `program`+delta, recorded in `stats->extend_fallback` /
+  /// (compare with `Instance::ToCanonicalString`). Programs with
+  /// stratified negation, whose inserts are non-monotone and so break
+  /// delta soundness, conservatively fall back to a full re-chase of
+  /// `program`+delta, recorded in `stats->extend_fallback` /
   /// `fallback_reason`. EGDs without `options.egds_separable` and
   /// form-(10)-shaped rules (multi-atom head with existentials) fall
   /// back only when the position-dependency analysis

@@ -17,8 +17,7 @@ uint32_t Column::Append(Term t, bool* new_code) {
       Place(code);
     }
   }
-  postings_[code].push_back(static_cast<uint32_t>(codes_.size()));
-  codes_.push_back(code);
+  postings_[code].push_back(rows_++);
   if (new_code != nullptr) *new_code = fresh;
   return code;
 }
@@ -49,8 +48,7 @@ void Column::Place(uint32_t code) {
 }
 
 uint64_t Column::MemoryEstimateBytes() const {
-  uint64_t bytes = codes_.capacity() * sizeof(uint32_t) +
-                   dict_.capacity() * sizeof(Term) +
+  uint64_t bytes = dict_.capacity() * sizeof(Term) +
                    encode_.capacity() * sizeof(uint32_t);
   bytes += postings_.capacity() * sizeof(std::vector<uint32_t>);
   for (const auto& rows : postings_) {

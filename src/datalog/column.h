@@ -9,13 +9,13 @@
 
 namespace mdqa::datalog {
 
-/// One position of one storage segment: a dictionary-encoded term column.
-/// Every appended term is interned into a segment-local dictionary and the
-/// column stores only its 4-byte code, plus a postings list per code (the
-/// ascending segment-local rows holding that term). Equality probes and
-/// join verification then run on contiguous `uint32_t` code arrays instead
-/// of hashed term handles — the VLog-style layout that makes the
-/// dimensional-navigation joins of the OMD assessment cheap.
+/// One position of one storage segment: a postings index over the
+/// owning table's rows. Every appended term is interned into a
+/// segment-local dictionary that maps it to a code, and each code keeps a
+/// postings list (the ascending segment-local rows holding that term).
+/// The terms themselves live only in the FactTable's flattened rows, so
+/// the column answers "which rows hold `t` here" and "how many distinct
+/// terms", and join verification reads the rows.
 ///
 /// The encode map is one flat array of codes by open addressing, keyed
 /// by a *lossy* term hash, so a probe chain can pass codes of several
@@ -29,16 +29,15 @@ class Column {
   /// Sentinel returned by `CodeOf` when the term is not in the dictionary.
   static constexpr uint32_t kNoCode = 0xffffffffu;
 
-  /// Appends `t` as the next row, interning it into the dictionary.
-  /// Returns its code; `*new_code` (when non-null) is set to whether the
-  /// term was new to this column's dictionary.
+  /// Appends `t` as the next row, interning it into the dictionary and
+  /// posting the row under its code. Returns the code; `*new_code` (when
+  /// non-null) is set to whether the term was new to this column's
+  /// dictionary.
   uint32_t Append(Term t, bool* new_code = nullptr);
 
   /// Rows appended so far.
-  size_t size() const { return codes_.size(); }
+  size_t size() const { return rows_; }
 
-  uint32_t CodeAt(uint32_t row) const { return codes_[row]; }
-  Term TermAt(uint32_t row) const { return dict_[codes_[row]]; }
   Term TermOfCode(uint32_t code) const { return dict_[code]; }
 
   /// Distinct terms in this column (the dictionary size).
@@ -53,8 +52,8 @@ class Column {
     return postings_[code];
   }
 
-  /// Capacity-based heap estimate (codes, dictionary, postings, encode
-  /// map) for the execution budget's memory accounting.
+  /// Capacity-based heap estimate (dictionary, postings, encode map) for
+  /// the execution budget's memory accounting.
   uint64_t MemoryEstimateBytes() const;
 
   /// Test-only: masks the encode-map hash so distinct terms collide
@@ -74,7 +73,7 @@ class Column {
   // Stores `code` in the first empty slot of its term's probe chain.
   void Place(uint32_t code);
 
-  std::vector<uint32_t> codes_;                  // row -> code
+  uint32_t rows_ = 0;
   std::vector<Term> dict_;                       // code -> term
   std::vector<std::vector<uint32_t>> postings_;  // code -> rows, ascending
   // Encode map: codes by open addressing — power-of-two capacity, load

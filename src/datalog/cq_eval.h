@@ -31,18 +31,45 @@ struct EvalStats {
   uint64_t solutions = 0;      ///< homomorphisms delivered to on_match
 };
 
-/// Evaluates conjunctive queries (atom lists + built-in comparisons) over
-/// an `Instance` by backtracking join. Atom order is chosen greedily at
-/// each step (most bound positions first, then smallest table); candidate
-/// rows come from the per-position indexes. Comparisons prune as soon as
-/// both sides are ground.
+/// Evaluates conjunctive queries (atom lists + built-in comparisons +
+/// negated atoms) over an `Instance` with one block-at-a-time join
+/// executor (datalog/join.cc) over the fact tables' rows and their
+/// per-position postings.
+///
+/// The executor compiles the body once — atom order, per-position roles
+/// (constant / bound slot / new slot / intra-atom repeat), and the depth
+/// at which each comparison and negated atom first becomes decidable —
+/// then pushes *blocks* of partial bindings through the pipeline. Each
+/// depth resolves its candidates per binding from the segments'
+/// dictionary postings (driver = the most selective bound position, the
+/// other bound positions verified against the row by term equality), or,
+/// when the incoming block is large relative to the table, from a batch
+/// hash index built once over the in-window rows keyed on the
+/// bound-position tuple — with full term verification of every chain
+/// hit, since the combined 64-bit keys can collide.
+///
+/// Order contract: the atom order is fixed up front by a greedy rule —
+/// most bound positions first (constants, seeded variables and variables
+/// of earlier atoms), then the smaller table, then the lower index — that
+/// depends only on the seed's variables and the table sizes, never on
+/// candidate values; candidates arrive in ascending row order per
+/// binding, and chunk flushes run depth-first. Solutions therefore
+/// arrive in the lexicographic order of their row choices, a
+/// deterministic function of (body, seed, instance). The chase's trigger
+/// collection, the EGD merge order, `Answers`' first-derived order and
+/// every rendered AssessmentReport rest on it. The executor differential
+/// (tests/executor_diff_test.cc) checks it solution by solution against
+/// a backtracking reference evaluator that re-derives the greedy choice
+/// at every node. The `EvalStats` counters match that reference, except
+/// that the batch hash probe examines only the rows of its bound key's
+/// chain, so `rows_tried` (and step charging) can be lower there.
 class CqEvaluator {
  public:
-  /// A non-null `budget` is polled once per candidate row (probe
-  /// "cq:row", clock reads amortized) so long joins honor deadlines,
-  /// cancellation, and injected faults. A budget trip surfaces as the
-  /// truncation status from `Enumerate` (or through the `interruption`
-  /// out-params below).
+  /// A non-null `budget` is polled once per enumeration and once per
+  /// batch of candidate rows (probe "cq:row", clock reads amortized) so
+  /// long joins honor deadlines, cancellation, and injected faults. A
+  /// budget trip surfaces as the truncation status from `Enumerate` (or
+  /// through the `interruption` out-params below).
   explicit CqEvaluator(const Instance& instance, EvalStats* stats = nullptr,
                        ExecutionBudget* budget = nullptr)
       : instance_(instance), stats_(stats), budget_(budget) {}
@@ -53,6 +80,10 @@ class CqEvaluator {
   /// `windows`, when non-empty, must parallel `atoms`. Negated atoms use
   /// closed-world absence from the instance and must be ground once all
   /// positive atoms are matched (safety).
+  ///
+  /// Precondition: every variable `initial` binds resolves to a ground
+  /// term. The seeded callers bind a body match's frontier variables, or
+  /// the mgu of a rule head against a ground atom.
   Status Enumerate(const std::vector<Atom>& atoms,
                    const std::vector<Atom>& negated,
                    const std::vector<Comparison>& comparisons,

@@ -82,10 +82,9 @@ bool FactTable::Insert(const Term* row, uint32_t level) {
 }
 
 std::vector<uint32_t> FactTable::Probe(size_t pos, Term t) const {
-  if (const std::vector<uint32_t>* rows = ProbeRef(pos, t)) return *rows;
-  // Multi-segment gather: per-segment postings are ascending and segment
-  // row ranges are disjoint in base order, so concatenation with the base
-  // offset is globally ascending without a merge.
+  // Per-segment postings are ascending and segment row ranges are
+  // disjoint in base order, so concatenation with the base offset is
+  // globally ascending without a merge.
   std::vector<uint32_t> out;
   for (size_t k = 0; k < NumSegments(); ++k) {
     const SegmentView view = SegmentAt(k);
@@ -96,21 +95,6 @@ std::vector<uint32_t> FactTable::Probe(size_t pos, Term t) const {
     }
   }
   return out;
-}
-
-const std::vector<uint32_t>* FactTable::ProbeRef(size_t pos, Term t) const {
-  static const std::vector<uint32_t> kEmpty;
-  // The postings of a single segment based at row 0 are the global row
-  // list verbatim; anything else needs an offset gather.
-  const std::vector<uint32_t>* single = nullptr;
-  for (size_t k = 0; k < NumSegments(); ++k) {
-    const SegmentView view = SegmentAt(k);
-    const uint32_t code = view.segment->column(pos).CodeOf(t);
-    if (code == Column::kNoCode) continue;
-    if (single != nullptr || view.base != 0) return nullptr;
-    single = &view.segment->column(pos).Postings(code);
-  }
-  return single == nullptr ? &kEmpty : single;
 }
 
 size_t FactTable::ProbeCount(size_t pos, Term t) const {
@@ -277,14 +261,6 @@ Status Instance::LoadRelation(const Relation& rel) {
     terms.reserve(row.size());
     for (const Value& v : row) terms.push_back(vocab_->Const(v));
     AddFact(Atom(pred, std::move(terms)), /*level=*/0);
-  }
-  return Status::Ok();
-}
-
-Status Instance::LoadDatabase(const Database& db) {
-  for (const std::string& name : db.RelationNames()) {
-    MDQA_ASSIGN_OR_RETURN(const Relation* rel, db.GetRelation(name));
-    MDQA_RETURN_IF_ERROR(LoadRelation(*rel));
   }
   return Status::Ok();
 }

@@ -11,16 +11,16 @@
 #include "base/result.h"
 #include "datalog/program.h"
 #include "datalog/segment.h"
-#include "relational/database.h"
+#include "relational/relation.h"
 
 namespace mdqa::datalog {
 
 /// Deduplicated ground-fact storage for one predicate: flattened term
-/// rows with an open-addressing dedup index over row ids, plus
-/// dictionary-encoded column segments (see Segment) that serve the
-/// per-position probes: immutable shared sealed segments plus one mutable
-/// overlay. The vectorized join executor (datalog/join.h) probes these
-/// block-at-a-time.
+/// rows — the only copy of each fact — with an open-addressing dedup
+/// index over row ids, plus a per-position postings index over those rows
+/// held in segments (see Segment): immutable shared sealed segments plus
+/// one mutable overlay. `CqEvaluator`'s join executor (datalog/join.cc)
+/// probes the postings and verifies candidates against the rows.
 /// Each row carries a derivation level: 0 for extensional facts, and the
 /// chase round that derived it otherwise — so the level-bounded chase
 /// used for weakly-sticky query answering is a chase whose budget caps
@@ -74,14 +74,9 @@ class FactTable {
   uint32_t frozen_rows() const { return frozen_rows_; }
 
   /// Row indexes whose position `pos` holds exactly term `t`, ascending.
-  /// Materializes a fresh vector (rows gathered across segments); hot
-  /// paths should prefer `ProbeRef`/`ProbeCount`.
+  /// Materializes a fresh vector (rows gathered across segments); use
+  /// `ProbeCount` when only the size matters.
   std::vector<uint32_t> Probe(size_t pos, Term t) const;
-
-  /// Zero-copy variant: a pointer to the (verified) row list when the
-  /// term lives entirely in a single segment's postings with no offset
-  /// (i.e. the first segment). nullptr means "materialize via Probe".
-  const std::vector<uint32_t>* ProbeRef(size_t pos, Term t) const;
 
   /// Number of rows `Probe(pos, t)` would return, without materializing.
   size_t ProbeCount(size_t pos, Term t) const;
@@ -272,9 +267,6 @@ class Instance {
 
   /// Loads every row of `rel` as facts of predicate `rel.name()`.
   Status LoadRelation(const Relation& rel);
-
-  /// Loads every relation of `db`.
-  Status LoadDatabase(const Database& db);
 
   /// Exports predicate `pred` as a `Relation` named `name` with the given
   /// attribute names (defaults a0..aN-1). Labeled nulls are rendered as

@@ -1,25 +1,29 @@
-#include "datalog/join.h"
+// The block-at-a-time join executor behind CqEvaluator::Enumerate: plan
+// compilation, the depth-first block pipeline, and its candidate paths
+// (full scan, postings probe, batch hash index). The contract it keeps
+// is documented on CqEvaluator (datalog/cq_eval.h).
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "base/intern.h"
 #include "datalog/column.h"
+#include "datalog/cq_eval.h"
 
 namespace mdqa::datalog {
 
 namespace {
 
-// Rows between budget polls; must match cq_eval's EvalState::kBudgetBatch
-// so the postings path charges steps identically to the legacy executor.
+// Candidate rows between budget polls (a power of two): the per-row cost
+// is one increment-and-mask, steps are charged in blocks of this many
+// rows, and trips surface within a block.
 constexpr uint32_t kBudgetBatch = 64;
 // Bindings per block chunk: a full chunk is pushed depth-first before the
 // current depth continues, bounding memory while preserving the
-// lexicographic (legacy) emission order. Chunks start small and grow
+// lexicographic emission order. Chunks start small and grow
 // geometrically toward the cap so an early-exit consumer (Satisfiable's
 // first witness) does not pay for a full block of speculative bindings;
 // chunk boundaries batch work without reordering it.
@@ -82,18 +86,17 @@ struct Plan {
   std::vector<PlannedNeg> negs;
   std::vector<size_t> initial_checks;      // decidable before any atom
   std::vector<size_t> initial_neg_checks;  // decidable before any atom
-  // Some comparison/negated variable is never bound: legacy semantics
-  // raise InvalidArgument on the first completed solution (zero-solution
-  // runs return OK), so the error fires at emit time.
+  // Some comparison/negated variable is never bound: InvalidArgument on
+  // the first completed solution (zero-solution runs return OK), so the
+  // error fires at emit time.
   bool unbound_comparison = false;
   bool unbound_negated = false;
 };
 
-// Builds the compiled plan, replicating the legacy greedy atom order:
+// Builds the compiled plan with the greedy atom order of the contract:
 // most bound positions first, ties by smaller table, ties by lower index.
 // The choice depends only on the (static) bound-variable sets and table
-// sizes, never on candidate values, so it equals the order the
-// backtracking evaluator re-derives at every recursion node.
+// sizes, never on candidate values, so one order serves every binding.
 void BuildPlan(const Instance& instance, const std::vector<Atom>& atoms,
                const std::vector<Atom>& negated,
                const std::vector<Comparison>& comparisons,
@@ -126,7 +129,8 @@ void BuildPlan(const Instance& instance, const std::vector<Atom>& atoms,
     (void)value;
     uint32_t slot = slot_for(var);
     slot_depth[slot] = kDepthInitial;
-    prefill[slot] = Resolve(initial, Term::Variable(var));  // ground (Run)
+    // Ground by Enumerate's precondition.
+    prefill[slot] = Resolve(initial, Term::Variable(var));
   }
 
   const size_t n = atoms.size();
@@ -202,8 +206,7 @@ void BuildPlan(const Instance& instance, const std::vector<Atom>& atoms,
       introduced.emplace_back(t.id(), slot);
     }
     // Variables introduced here become bound for every later depth; the
-    // emitted substitution adds them in binding (position) order, like
-    // the legacy matcher.
+    // emitted substitution adds them in binding (position) order.
     for (const auto& [var, slot] : introduced) {
       slot_depth[slot] = depth;
       plan->out_vars.emplace_back(var, slot);
@@ -231,9 +234,7 @@ void BuildPlan(const Instance& instance, const std::vector<Atom>& atoms,
   };
 
   // Each comparison / negated atom is checked exactly once, at the first
-  // depth where all its variables are bound (the legacy evaluator
-  // re-checks every ground one at every depth — idempotent, since a
-  // failing check already pruned the branch).
+  // depth where all its variables are bound.
   for (const Comparison& c : comparisons) {
     PlannedCmp pc;
     pc.op = c.op;
@@ -329,8 +330,7 @@ struct Executor {
   // entry per plan-bound variable, whose mapped Terms are then updated
   // in place per solution (unordered_map nodes are pointer-stable under
   // insertion, and nothing is erased). This keeps the per-solution cost
-  // at plain stores instead of a map copy — the legacy evaluator also
-  // reuses one substitution across all solutions.
+  // at plain stores instead of a map copy.
   void PrepareEmit() {
     out_subst = *initial;
     out_ptrs.reserve(plan.out_vars.size());
@@ -354,6 +354,27 @@ struct Executor {
 
   Term ResolveRef(const TermRef& ref, const Term* slots) const {
     return ref.is_slot ? slots[ref.slot] : ref.constant;
+  }
+
+  // The term a binding expects at a kConst or kBound position.
+  static Term Expected(const PlannedPos& pp, const Term* slots) {
+    return pp.kind == PosKind::kConst ? pp.constant : slots[pp.slot];
+  }
+
+  // True when `row` holds the expected term at every bound position of
+  // `pa` but the `skip`-th (pass bound_positions.size() to skip none).
+  // Each expected term is resolved from the plan and the parent block's
+  // `slots`, not from scratch_targets: a chunk flush inside a candidate
+  // loop recurses into deeper depths, which reuse (clobber) that shared
+  // buffer, while deeper recursion never touches the parent block.
+  static bool BoundPositionsMatch(const PlannedAtom& pa, const Term* row,
+                                  const Term* slots, size_t skip) {
+    for (size_t j = 0; j < pa.bound_positions.size(); ++j) {
+      if (j == skip) continue;
+      const size_t p = pa.bound_positions[j];
+      if (row[p] != Expected(pa.pos[p], slots)) return false;
+    }
+    return true;
   }
 
   bool ChecksHold(const std::vector<size_t>& checks,
@@ -382,7 +403,7 @@ struct Executor {
   // Verifies the unbound roles of `row` against the plan, evaluates the
   // newly decidable checks, and appends the extended binding to `out` on
   // success. Bound positions have already been verified by the caller
-  // (codes, hash key, or there are none).
+  // (against the row, or there are none).
   bool AcceptCandidate(const PlannedAtom& pa, const Term* row,
                        const Term* in_slots, Block* out) {
     // The extended binding is built directly in the output block (one
@@ -472,8 +493,8 @@ struct Executor {
 
   void Emit(const Block& in) {
     for (size_t bi = 0; bi < in.count && !stop && error.ok(); ++bi) {
-      // Legacy order: the groundness errors surface on the first
-      // completed solution (comparisons checked before negation).
+      // The groundness errors surface on the first completed solution
+      // (comparisons checked before negation).
       if (plan.unbound_comparison) {
         error = Status::InvalidArgument(
             "comparison variable not bound by any relational atom");
@@ -554,9 +575,7 @@ struct Executor {
 
       // Resolve this binding's target terms for the bound positions.
       for (size_t j = 0; j < nbound; ++j) {
-        const PlannedPos& pp = pa.pos[pa.bound_positions[j]];
-        scratch_targets[j] =
-            pp.kind == PosKind::kConst ? pp.constant : slots[pp.slot];
+        scratch_targets[j] = Expected(pa.pos[pa.bound_positions[j]], slots);
       }
 
       if (use_hash) {
@@ -569,34 +588,19 @@ struct Executor {
           if (!Tick()) return;
           if (stats != nullptr) ++stats->rows_tried;
           // The combined key is lossy: verify every bound position by
-          // term equality before accepting the chain hit. Resolve each
-          // expected term from the plan + parent slots here rather than
-          // from scratch_targets: a chunk flush inside this loop recurses
-          // into deeper depths, which reuse (clobber) the shared scratch
-          // buffer. `slots` points into the parent block, which deeper
-          // recursion never touches.
+          // term equality before accepting the chain hit.
           const Term* row = table->Row(r);
-          bool match = true;
-          for (size_t j = 0; j < nbound; ++j) {
-            const PlannedPos& pp = pa.pos[pa.bound_positions[j]];
-            const Term want =
-                pp.kind == PosKind::kConst ? pp.constant : slots[pp.slot];
-            if (row[pa.bound_positions[j]] != want) {
-              match = false;
-              break;
-            }
-          }
-          if (!match) continue;
+          if (!BoundPositionsMatch(pa, row, slots, nbound)) continue;
           AcceptCandidate(pa, row, slots, &out);
           flush_if_full();
         }
         continue;
       }
 
-      // Postings path: per segment, encode the targets once; the driver
-      // is the bound position with the fewest total postings (first-wins
-      // tie-break, matching the legacy most-selective-index choice), and
-      // the other bound positions verify by code comparison.
+      // Postings path: per segment, look the targets up in the
+      // dictionaries once; the driver is the bound position with the
+      // fewest total postings (first wins ties), and the other bound
+      // positions are verified against the row.
       if (stats != nullptr) ++stats->index_probes;
       seg_codes.assign(nsegs * nbound, Column::kNoCode);
       size_t driver = 0;
@@ -640,14 +644,9 @@ struct Executor {
           if (!level_ok(r)) continue;
           if (!Tick()) return;
           if (stats != nullptr) ++stats->rows_tried;
-          bool match = true;
-          for (size_t j = 0; j < nbound && match; ++j) {
-            if (j == driver) continue;
-            match = view.segment->column(pa.bound_positions[j])
-                        .CodeAt(local) == seg_codes[k * nbound + j];
-          }
-          if (!match) continue;
-          AcceptCandidate(pa, table->Row(r), slots, &out);
+          const Term* row = table->Row(r);
+          if (!BoundPositionsMatch(pa, row, slots, driver)) continue;
+          AcceptCandidate(pa, row, slots, &out);
           flush_if_full();
         }
       }
@@ -658,12 +657,21 @@ struct Executor {
 
 }  // namespace
 
-Status BlockJoin::Run(const std::vector<Atom>& atoms,
-                      const std::vector<Atom>& negated,
-                      const std::vector<Comparison>& comparisons,
-                      const Subst& initial,
-                      const std::vector<AtomLevelWindow>& windows,
-                      const std::function<bool(const Subst&)>& on_match) {
+Status CqEvaluator::Enumerate(
+    const std::vector<Atom>& atoms, const std::vector<Atom>& negated,
+    const std::vector<Comparison>& comparisons, const Subst& initial,
+    const std::vector<AtomLevelWindow>& windows,
+    const std::function<bool(const Subst&)>& on_match) const {
+  if (!windows.empty() && windows.size() != atoms.size()) {
+    return Status::InvalidArgument("level-window count must match atom count");
+  }
+  // Poll once per enumeration: on instances smaller than the row-polling
+  // batch the per-row tick never wraps, and cancellation/armed fault
+  // probes would otherwise be invisible to short queries.
+  if (budget_ != nullptr) {
+    Status bs = budget_->Check("cq:row");
+    if (!bs.ok()) return bs;
+  }
   Executor ex;
   ex.instance = &instance_;
   ex.vocab = instance_.vocab().get();
@@ -686,8 +694,8 @@ Status BlockJoin::Run(const std::vector<Atom>& atoms,
   ex.hash_index.resize(ex.plan.order.size());
   ex.block_pool.resize(ex.plan.order.size());
   ex.PrepareEmit();
-  // The legacy evaluator prunes the whole enumeration when a comparison
-  // or negated atom already fails under the initial bindings.
+  // A comparison or negated atom that already fails under the initial
+  // bindings prunes the whole enumeration.
   if (!ex.ChecksHold(ex.plan.initial_checks, ex.plan.initial_neg_checks,
                      initial_slots.data())) {
     return Status::Ok();

@@ -9,8 +9,8 @@
 
 namespace mdqa::datalog {
 
-/// A contiguous run of one table's rows held column-wise: `arity` term
-/// dictionaries + code columns (see Column), covering the global rows
+/// The postings index of a contiguous run of one table's rows: one
+/// dictionary + postings `Column` per position, covering the global rows
 /// `[base, base + rows())` of the owning FactTable. A table is a chain of
 /// *sealed* segments — immutable, shared by reference between
 /// copy-on-write snapshots — followed by exactly one append-only mutable
@@ -20,9 +20,9 @@ namespace mdqa::datalog {
 /// immutable segments while update sessions append into fresh overlays.
 ///
 /// The flattened term rows and per-row levels stay in the FactTable (the
-/// `Row()` pointer contract); a segment carries only the columnar
-/// encoding, postings and dictionaries that the vectorized join executor
-/// probes.
+/// `Row()` pointer contract) and are the only copy of each fact; a
+/// segment carries only the dictionaries and postings that the join
+/// executor probes.
 class Segment {
  public:
   explicit Segment(size_t arity) : columns_(arity) {}

@@ -36,23 +36,15 @@ Result<ChaseQa> ChaseQa::Adopt(Program program, const ChaseOptions& options,
   return ChaseQa(std::move(program), options, std::move(instance), stats);
 }
 
-Result<ChaseStats> ChaseQa::AddFactsAndRechase(
-    const std::vector<datalog::Atom>& facts) {
+Result<ChaseStats> ChaseQa::Extend(const std::vector<datalog::Atom>& facts) {
+  // Keep the program's extensional set in sync first: Chase::Extend's
+  // fallback path (and any later one) rebuilds from program_.facts(). A
+  // non-ground fact rejects the whole batch before any of it is added.
   for (const datalog::Atom& f : facts) {
     if (!f.IsGround()) {
       return Status::InvalidArgument("new facts must be ground");
     }
-    instance_.AddFact(f, /*level=*/0);
   }
-  MDQA_ASSIGN_OR_RETURN(ChaseStats stats,
-                        Chase::Run(program_, &instance_, options_));
-  stats_ = stats;
-  return stats;
-}
-
-Result<ChaseStats> ChaseQa::Extend(const std::vector<datalog::Atom>& facts) {
-  // Keep the program's extensional set in sync first: Chase::Extend's
-  // fallback path (and any later one) rebuilds from program_.facts().
   for (const datalog::Atom& f : facts) {
     MDQA_RETURN_IF_ERROR(program_.AddFact(f));
   }

@@ -39,17 +39,11 @@ class ChaseQa {
                                datalog::Instance instance,
                                datalog::ChaseStats stats);
 
-  /// Adds new extensional facts and re-chases the existing materialized
-  /// instance (facts already derived are kept; the restricted chase
-  /// skips satisfied heads, so only consequences of the new facts are
-  /// actually computed). The common data-quality workflow: today's
-  /// measurements arrive, yesterday's materialization stays warm.
-  Result<datalog::ChaseStats> AddFactsAndRechase(
-      const std::vector<datalog::Atom>& facts);
-
-  /// Incremental counterpart of AddFactsAndRechase: resumes the chase
-  /// from the frontier captured by the last materialization
-  /// (`Chase::Extend`) instead of re-running it. Exact — programs the
+  /// Adds new extensional facts and resumes the chase from the frontier
+  /// captured by the last materialization (`Chase::Extend`) instead of
+  /// re-running it: only consequences of the new facts are computed. The
+  /// common data-quality workflow: today's measurements arrive,
+  /// yesterday's materialization stays warm. Exact — programs the
   /// incremental path cannot maintain fall back to a full re-chase,
   /// recorded in the returned stats (`extend_fallback`). The new facts
   /// are also appended to the engine's program so fallbacks (now or on a

@@ -312,9 +312,6 @@ class PreparedContext {
   /// alive by the session; `Assessor::Reassess` reuses it instead of
   /// re-classifying.
   const datalog::ProgramAnalysis& analysis() const { return *analysis_; }
-  std::shared_ptr<const datalog::ProgramAnalysis> shared_analysis() const {
-    return analysis_;
-  }
 
   /// Table statistics of the materialized instance, collected once per
   /// snapshot (at Prepare and after each ApplyUpdate): row counts,

@@ -119,21 +119,26 @@ TEST(ChaseQa, IncrementalRechaseDerivesNewConsequences) {
   uint32_t pw = p.vocab()->FindPredicate("PW");
   datalog::Atom new_fact(
       pw, {p.mutable_vocab()->Str("w2"), p.mutable_vocab()->Str("lou")});
-  auto stats = qa->AddFactsAndRechase({new_fact});
+  auto stats = qa->Extend({new_fact});
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_EQ(qa->instance().CountFacts(pu), 2u);
 
-  // The restricted chase does not re-derive old consequences.
-  EXPECT_EQ(stats->facts_added, 1u);
+  // The inserted fact plus its one new consequence: old consequences are
+  // not re-derived.
+  EXPECT_EQ(stats->facts_added, 2u);
 }
 
 TEST(ChaseQa, IncrementalRechaseRejectsNonGround) {
   Program p = Parse("P(1).\nQ(X) :- P(X).\n");
   auto qa = ChaseQa::Create(p);
   ASSERT_TRUE(qa.ok());
-  datalog::Atom open_atom(p.vocab()->FindPredicate("P"),
-                          {p.mutable_vocab()->Var("X")});
-  EXPECT_FALSE(qa->AddFactsAndRechase({open_atom}).ok());
+  const uint32_t pred = p.vocab()->FindPredicate("P");
+  datalog::Atom ground(pred, {p.mutable_vocab()->Int(2)});
+  datalog::Atom open_atom(pred, {p.mutable_vocab()->Var("X")});
+  EXPECT_FALSE(qa->Extend({ground, open_atom}).ok());
+  // The rejected batch left the program and the instance as they were.
+  EXPECT_EQ(qa->program().facts().size(), 1u);
+  EXPECT_EQ(qa->instance().CountFacts(pred), 1u);
 }
 
 TEST(ChaseQa, IncrementalRechaseCanViolateConstraints) {
@@ -144,7 +149,7 @@ TEST(ChaseQa, IncrementalRechaseCanViolateConstraints) {
   ASSERT_TRUE(qa.ok());
   datalog::Atom bad(p.vocab()->FindPredicate("P"),
                     {p.mutable_vocab()->Int(9)});
-  auto stats = qa->AddFactsAndRechase({bad});
+  auto stats = qa->Extend({bad});
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kInconsistent);
 }

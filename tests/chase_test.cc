@@ -239,49 +239,6 @@ TEST(Chase, EgdMergeEnablesFurtherTgdFirings) {
   EXPECT_EQ(Count(run, "S"), 1u);
 }
 
-TEST(Chase, SemiObliviousFiresUnconditionally) {
-  // The head is already satisfied extensionally; the restricted chase
-  // skips, the semi-oblivious chase fires anyway.
-  ChaseOptions oblivious;
-  oblivious.restricted = false;
-  auto run = RunChase(
-      "Person(\"ann\"). HasParent(\"ann\", \"eve\").\n"
-      "HasParent(X, Z) :- Person(X).\n",
-      oblivious);
-  ASSERT_TRUE(run.stats.ok()) << run.stats.status();
-  EXPECT_EQ(run.stats->nulls_created, 1u);
-  EXPECT_EQ(Count(run, "HasParent"), 2u);  // eve + the fresh null
-}
-
-TEST(Chase, SemiObliviousTerminatesOnWeaklyAcyclic) {
-  ChaseOptions oblivious;
-  oblivious.restricted = false;
-  auto run = RunChase(
-      "A(1). A(2).\n"
-      "B(X, Z) :- A(X).\n"
-      "C(Y) :- B(X, Y).\n",
-      oblivious);
-  ASSERT_TRUE(run.stats.ok());
-  EXPECT_TRUE(run.stats->reached_fixpoint);
-  EXPECT_EQ(Count(run, "B"), 2u);
-  EXPECT_EQ(Count(run, "C"), 2u);
-}
-
-TEST(Chase, RestrictedAndSemiObliviousCertainAnswersAgree) {
-  const char* text =
-      "PW(\"w1\", \"tom\"). UW(\"std\", \"w1\").\n"
-      "PU(U, P) :- PW(W, P), UW(U, W).\n"
-      "SH(W, N) :- PU(U, N), UW(U, W).\n";
-  ChaseOptions oblivious;
-  oblivious.restricted = false;
-  auto a = RunChase(text);
-  auto b = RunChase(text, oblivious);
-  ASSERT_TRUE(a.stats.ok());
-  ASSERT_TRUE(b.stats.ok());
-  // No existentials here, so the instances coincide exactly.
-  EXPECT_EQ(a.instance.ToString(), b.instance.ToString());
-}
-
 TEST(Chase, ComparisonsInRuleBodies) {
   auto run = RunChase(
       "V(1). V(2). V(3).\n"

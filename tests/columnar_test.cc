@@ -32,7 +32,6 @@ TEST(Column, DictEncodesAndPostsAscending) {
   EXPECT_EQ(c.CodeOf(Term::Constant(99)), Column::kNoCode);
   EXPECT_EQ(c.Postings(0), (std::vector<uint32_t>{0, 2}));
   EXPECT_EQ(c.Postings(1), (std::vector<uint32_t>{1}));
-  EXPECT_EQ(c.TermAt(2), a);
   EXPECT_EQ(c.TermOfCode(1), b);
   EXPECT_GT(c.MemoryEstimateBytes(), 0u);
 }
@@ -164,11 +163,7 @@ TEST(FactTableColumnar, ProbeAndDistinctMatchRowMode) {
     }
     EXPECT_EQ(t.DistinctAt(p), seen.size());
   }
-  // A single-segment table exposes a zero-copy list.
-  EXPECT_NE(t.ProbeRef(0, Term::Constant(1)), nullptr);
-  // An absent term yields an empty (but non-null) reference.
-  ASSERT_NE(t.ProbeRef(0, Term::Constant(777)), nullptr);
-  EXPECT_TRUE(t.ProbeRef(0, Term::Constant(777))->empty());
+  EXPECT_TRUE(t.Probe(0, Term::Constant(777)).empty());
 }
 
 // Satellite regression: force total collision in every hash-keyed probe
@@ -225,8 +220,6 @@ TEST(FactTableColumnar, SealOverlayBuildsSegmentChain) {
   EXPECT_EQ(t.ProbeCount(0, Term::Constant(1)), 4u);
   EXPECT_EQ(t.DistinctAt(0), 2u);  // spans segments without double count
   EXPECT_EQ(t.DistinctAt(1), 8u);
-  // Multi-segment gathers have no single contiguous list to reference.
-  EXPECT_EQ(t.ProbeRef(0, Term::Constant(0)), nullptr);
   // Sealing the (now non-empty) overlay again grows the chain.
   t.SealOverlay();
   EXPECT_EQ(t.NumSegments(), 3u);

@@ -211,15 +211,6 @@ TEST(ExtendContract, NegationFallsBackExactly) {
       "R(\"b\")", ChaseOptions{}, "negation");
 }
 
-TEST(ExtendContract, SemiObliviousFallsBackExactly) {
-  ChaseOptions options;
-  options.restricted = false;
-  ExpectFallbackMatchesRebuild(
-      "PW(\"w0\", \"p0\").\nUW(\"u0\", \"w0\").\n"
-      "PU(U, P) :- PW(W, P), UW(U, W).\n",
-      "PW(\"w0\", \"p1\")", options, "semi-oblivious");
-}
-
 // The narrowed no-fallback cases: exact (matches the from-scratch
 // rebuild) *without* leaving the delta path.
 void ExpectNoFallbackMatchesRebuild(const std::string& base_text,

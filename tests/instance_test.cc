@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "datalog/parser.h"
+#include "relational/database.h"
 
 namespace mdqa::datalog {
 namespace {
@@ -122,7 +123,11 @@ TEST(Instance, LoadRelationAndDatabase) {
   ASSERT_TRUE(db.InsertText("S", {"x"}).ok());
   auto vocab = std::make_shared<Vocabulary>();
   Instance inst(vocab);
-  ASSERT_TRUE(inst.LoadDatabase(db).ok());
+  for (const std::string& name : db.RelationNames()) {
+    auto rel = db.GetRelation(name);
+    ASSERT_TRUE(rel.ok());
+    ASSERT_TRUE(inst.LoadRelation(**rel).ok());
+  }
   EXPECT_EQ(inst.TotalFacts(), 3u);
   EXPECT_EQ(inst.CountFacts(vocab->FindPredicate("R")), 2u);
 }
